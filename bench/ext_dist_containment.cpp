@@ -154,7 +154,7 @@ int main() {
     peers.push_back(healthy.endpoints()[0]);
     dist::DistConfig cfg;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     scenario("self kill", peers, cfg, reference,
              [](const dist::DistEvaluator& p) {
                CHECK(p.dist_stats().peer_lost >= 1,
@@ -169,9 +169,9 @@ int main() {
   {  // The pool-side hook SIGKILLs the serving peer from outside.
     bench::LocalPeerFleet fleet(2);
     dist::DistConfig cfg;
-    cfg.kill_peer_job_id = 3;
+    cfg.kill_job_id = 3;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     scenario("external kill", fleet.endpoints(), cfg, reference,
              [](const dist::DistEvaluator& p) {
                CHECK(p.dist_stats().peer_lost >= 1,
@@ -190,7 +190,7 @@ int main() {
     cfg.job_wall_timeout_seconds = 0.75;
     cfg.connect_timeout_seconds = 0.5;
     cfg.heartbeat_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     cfg.breaker_threshold = 2;
     scenario("hang", peers, cfg, reference,
              [](const dist::DistEvaluator& p) {
@@ -208,7 +208,7 @@ int main() {
     peers.push_back(healthy.endpoints()[0]);
     dist::DistConfig cfg;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     cfg.breaker_threshold = 2;
     scenario("garbage", peers, cfg, reference,
              [](const dist::DistEvaluator& p) {
@@ -226,7 +226,7 @@ int main() {
                   static_cast<int>(::getpid()));
     dist::DistConfig cfg;
     cfg.connect_timeout_seconds = 0.2;
-    cfg.reconnect_backoff_seconds = 0.001;
+    cfg.backoff_seconds = 0.001;
     cfg.breaker_threshold = 2;
     scenario("brownout", {bogus0, bogus1}, cfg, reference,
              [](const dist::DistEvaluator& p) {

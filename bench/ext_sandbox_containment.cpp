@@ -217,7 +217,7 @@ void breaker_section() {
   sandbox::SandboxConfig cfg;
   cfg.workers = 1;
   cfg.breaker_threshold = 3;
-  cfg.respawn_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   Stack st(plan, cfg);
 
   const auto batch = make_batch("sha", 6);

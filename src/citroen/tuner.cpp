@@ -313,6 +313,12 @@ struct CitroenTuner::Impl {
   void record(const std::string& target, const Sequence& cand,
               const Vec& features, double y, bool counts_budget) {
     if (counts_budget) {
+      // The reported best is the curve's last value, so the reported
+      // assignment moves exactly when the curve rises: it then always
+      // rebuilds to the reported speedup, even when nothing beats -O3.
+      if (result.speedup_curve.empty() ||
+          1.0 / y > result.speedup_curve.back())
+        result.best_assignment = assignment_for(target, cand);
       result.speedup_curve.push_back(
           std::max(result.speedup_curve.empty()
                        ? 0.0
@@ -332,7 +338,6 @@ struct CitroenTuner::Impl {
         const double gain = (best_y - y) / best_y;
         ms.gain = 0.5 * ms.gain + 0.5 * gain;
         best_y = y;
-        result.best_assignment = assignment_for(target, cand);
         if (target == kJoint) {
           // A joint win re-seeds every per-module incumbent.
           for (auto& other : mods) {

@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -20,6 +19,7 @@
 #include "passes/passman.hpp"
 #include "sandbox/ipc.hpp"
 #include "sandbox/protocol.hpp"
+#include "sandbox/worker.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/machine.hpp"
 
@@ -29,13 +29,6 @@ namespace {
 
 void sleep_forever() {
   for (;;) ::pause();
-}
-
-std::uint64_t now_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 /// Evaluators rebuilt from Hello specs, cached across connections (keyed
@@ -72,117 +65,65 @@ sim::ProgramEvaluator* evaluator_for(const ProgramSpec& spec,
   }
 }
 
-/// Serve one accepted connection until EOF/corruption. `jobs_started`
+/// Answer a Hello: rebuild (or reuse) the evaluator its spec names and
+/// reply HelloOk with the fingerprint, or HelloErr. Null hangs up.
+sim::ProgramEvaluator* answer_hello(std::string_view body, int fd) {
+  ProgramSpec spec;
+  std::string err;
+  sim::ProgramEvaluator* eval = nullptr;
+  if (decode_hello(body, &spec, &err)) eval = evaluator_for(spec, &err);
+  if (!eval) {
+    sandbox::write_frame(fd, sandbox::tag_message(sandbox::PeerMsg::HelloErr,
+                                                  encode_hello_err(err)));
+    return nullptr;
+  }
+  const auto reply =
+      encode_hello_ok(static_cast<std::uint64_t>(::getpid()),
+                      evaluator_fingerprint(*eval), sandbox::monotonic_ns());
+  if (sandbox::write_frame(fd, sandbox::tag_message(sandbox::PeerMsg::HelloOk,
+                                                    reply)) !=
+      sandbox::IoStatus::Ok)
+    return nullptr;
+  return eval;
+}
+
+/// Serve one accepted connection with the shared job loop. `jobs_started`
 /// counts across connections so the test hooks fire deterministically no
 /// matter how the pool spreads jobs over reconnects.
 void serve_connection(int fd, const PeerOptions& opts,
                       std::int64_t* jobs_started) {
-  using sandbox::IoStatus;
-  sandbox::FrameReader reader(fd);
-  sim::ProgramEvaluator* eval = nullptr;
-
-  for (;;) {
-    std::string payload;
-    const IoStatus st =
-        reader.read(&payload, opts.read_timeout_seconds);
-    if (st != IoStatus::Ok) return;  // EOF, corrupt, timeout, error: hang up
-
-    PeerMsg tag;
-    std::string_view body;
-    if (!untag_message(payload, &tag, &body)) return;
-
-    switch (tag) {
-      case PeerMsg::Hello: {
-        ProgramSpec spec;
-        std::string err;
-        if (!decode_hello(body, &spec, &err)) {
-          sandbox::write_frame(
-              fd, tag_message(PeerMsg::HelloErr, encode_hello_err(err)));
-          return;
-        }
-        eval = evaluator_for(spec, &err);
-        if (!eval) {
-          sandbox::write_frame(
-              fd, tag_message(PeerMsg::HelloErr, encode_hello_err(err)));
-          return;
-        }
-        const auto reply = encode_hello_ok(
-            static_cast<std::uint64_t>(::getpid()),
-            evaluator_fingerprint(*eval), now_ns());
-        if (sandbox::write_frame(fd, tag_message(PeerMsg::HelloOk, reply)) !=
-            IoStatus::Ok)
-          return;
-        break;
-      }
-      case PeerMsg::Ping: {
-        if (sandbox::write_frame(fd, tag_message(PeerMsg::Pong, body)) !=
-            IoStatus::Ok)
-          return;
-        break;
-      }
-      case PeerMsg::Job: {
-        if (!eval) return;  // job before hello: confused pool, hang up
-        sandbox::SandboxJob job;
-        std::string err;
-        if (!sandbox::decode_job(std::string(body), &job, &err)) return;
-
-        const std::int64_t index = (*jobs_started)++;
-        if (opts.kill_self_after_jobs >= 0 &&
-            index >= opts.kill_self_after_jobs)
-          ::kill(::getpid(), SIGKILL);  // abrupt mid-job death
-        if (opts.hang_after_jobs >= 0 && index >= opts.hang_after_jobs)
-          sleep_forever();  // blow the pool's wall deadline
-        if (opts.garbage_after_jobs >= 0 &&
-            index >= opts.garbage_after_jobs) {
-          // Unframed bytes: the pool's FrameDecoder must classify this
-          // connection Corrupt, not crash and not misparse.
-          std::string garbage(96, '\xa5');
-          ssize_t ignored = ::write(fd, garbage.data(), garbage.size());
-          (void)ignored;
-          return;
-        }
-
-        sandbox::SandboxResult res;
-        res.id = job.id;
-        // The remote execution span, plus the finish half of the flow
-        // the pool started at dispatch ('s', same id): once this result's
-        // piggybacked events are ingested and re-based pool-side, the
-        // merged trace draws an arrow from the pool's dist_job span to
-        // this peer_job span.
-        if (obs::trace_enabled()) {
-          obs::emit('b', "peer_job", "dist", job.id, "pid",
-                    static_cast<std::uint64_t>(::getpid()));
-          obs::emit('f', "dist_job", "dist", job.id);
-        }
-        try {
-          // Peers ignore job.plan: real-fault injection is a sandbox
-          // concern (the plan still travels in the frame because the
-          // body is the sandbox codec, verbatim). pure_evaluate consults
-          // no injector and mutates no order-sensitive state.
-          res.pure = eval->pure_evaluate(
-              job.assignment,
-              /*with_measure=*/job.kind == sandbox::JobKind::Evaluate);
-          res.status = sandbox::ResultStatus::Ok;
-        } catch (const std::bad_alloc&) {
-          res.status = sandbox::ResultStatus::Oom;
-          res.pure = sim::PureEvalResult{};
-        } catch (...) {
-          return;  // unexpected: hang up, the pool reassigns
-        }
-        if (obs::trace_enabled()) obs::emit('e', "peer_job", "dist", job.id);
-        // Ship this job's trace events + counter deltas home on the
-        // result frame — same appendix the sandbox worker uses.
-        sandbox::collect_obs_deltas(&res);
-        if (sandbox::write_frame(
-                fd, tag_message(PeerMsg::Result,
-                                sandbox::encode_result(res))) != IoStatus::Ok)
-          return;
-        break;
-      }
-      default:
-        return;  // HelloOk/Result/Pong from a pool: protocol confusion
+  sandbox::JobLoop loop;
+  loop.read_timeout_seconds = opts.read_timeout_seconds;
+  loop.on_hello = answer_hello;
+  loop.begin_job = [&](const sandbox::SandboxJob& job) {
+    const std::int64_t index = (*jobs_started)++;
+    if (opts.kill_self_after_jobs >= 0 && index >= opts.kill_self_after_jobs)
+      ::kill(::getpid(), SIGKILL);  // abrupt mid-job death
+    if (opts.hang_after_jobs >= 0 && index >= opts.hang_after_jobs)
+      sleep_forever();  // blow the pool's wall deadline
+    if (opts.garbage_after_jobs >= 0 && index >= opts.garbage_after_jobs) {
+      // Unframed bytes: the pool's FrameDecoder must classify this
+      // connection Corrupt, not crash and not misparse.
+      std::string garbage(96, '\xa5');
+      ssize_t ignored = ::write(fd, garbage.data(), garbage.size());
+      (void)ignored;
+      return false;
     }
-  }
+    // The remote execution span, plus the finish half of the flow the
+    // pool started at dispatch ('s', same id): once this result's
+    // piggybacked events are ingested and re-based pool-side, the merged
+    // trace draws an arrow from the pool's dist_job span to this span.
+    if (obs::trace_enabled()) {
+      obs::emit('b', "peer_job", "dist", job.id, "pid",
+                static_cast<std::uint64_t>(::getpid()));
+      obs::emit('f', "dist_job", "dist", job.id);
+    }
+    return true;
+  };
+  loop.end_job = [](const sandbox::SandboxJob& job) {
+    if (obs::trace_enabled()) obs::emit('e', "peer_job", "dist", job.id);
+  };
+  sandbox::serve_jobs(fd, loop);
 }
 
 }  // namespace
@@ -263,13 +204,14 @@ pid_t spawn_peer(const std::string& path, const PeerOptions& options,
     return -1;
   }
   if (pid == 0) {
-    // Child: plain peer process. Locks forked mid-flight (obs rings, the
-    // stat-key interner's spinlock) get the same reset sandbox workers
-    // apply, and like them the child must never run parent-owned
+    // Child: plain peer process. Like a sandbox worker it keeps only its
+    // own descriptor, resets locks forked mid-flight (obs rings, the
+    // stat-key interner's spinlock) and never runs parent-owned
     // destructors, so every exit is _exit.
+    const int fd = sandbox::keep_only_fd(listen_fd);
     obs::reset_after_fork();
     passes::reset_stat_interner_after_fork();
-    ::_exit(peer_serve(listen_fd, options));
+    ::_exit(peer_serve(fd, options));
   }
   ::close(listen_fd);  // parent: the child owns the listener
   return pid;

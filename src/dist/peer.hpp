@@ -6,8 +6,8 @@
 // expects a Hello naming the program spec, reconstructs its own
 // `ProgramEvaluator` from that spec (peers share no memory with the
 // pool), answers HelloOk with a structural fingerprint, then serves Job
-// frames by running `pure_evaluate` — exactly the work a sandbox worker
-// does, minus the fork. Evaluators are cached across connections, so a
+// frames with the job loop every sandbox worker runs
+// (sandbox::serve_jobs). Evaluators are cached across connections, so a
 // pool reconnecting after a link flap pays no rebuild.
 //
 // Peers hold no order-sensitive state and install no verdicts: every

@@ -1,12 +1,10 @@
 #include "dist/pool.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,33 +18,18 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sandbox/protocol.hpp"
-#include "support/backoff.hpp"
 
 namespace citroen::dist {
 
 namespace {
 
 using sandbox::IoStatus;
+using sandbox::LaneFault;
 
-std::uint64_t monotonic_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-void sleep_seconds(double s) {
-  if (s <= 0) return;
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(s);
-  ts.tv_nsec = static_cast<long>((s - static_cast<double>(ts.tv_sec)) * 1e9);
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
-
-/// Connect one endpoint: "unix:<path>" / bare path (contains '/') for
+/// Resolve one endpoint: "unix:<path>" / bare path (contains '/') for
 /// Unix sockets, "tcp:<ip>:<port>" / "<ip>:<port>" for IPv4 TCP.
-int connect_endpoint(const std::string& endpoint) {
+bool resolve_endpoint(const std::string& endpoint, sockaddr_storage* addr,
+                      socklen_t* len) {
   std::string rest = endpoint;
   bool is_unix;
   if (rest.rfind("unix:", 0) == 0) {
@@ -58,45 +41,69 @@ int connect_endpoint(const std::string& endpoint) {
   } else {
     is_unix = rest.find('/') != std::string::npos;
   }
-
+  *addr = {};
   if (is_unix) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (rest.empty() || rest.size() >= sizeof(addr.sun_path)) return -1;
-    std::strncpy(addr.sun_path, rest.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
+    auto* un = reinterpret_cast<sockaddr_un*>(addr);
+    un->sun_family = AF_UNIX;
+    if (rest.empty() || rest.size() >= sizeof(un->sun_path)) return false;
+    std::strncpy(un->sun_path, rest.c_str(), sizeof(un->sun_path) - 1);
+    *len = sizeof(sockaddr_un);
+    return true;
   }
-
   const auto colon = rest.rfind(':');
-  if (colon == std::string::npos) return -1;
+  if (colon == std::string::npos) return false;
   const std::string host = rest.substr(0, colon);
   const int port = std::atoi(rest.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.empty() ? "127.0.0.1" : host.c_str(),
-                  &addr.sin_addr) != 1)
-    return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  if (port <= 0 || port > 65535) return false;
+  auto* in = reinterpret_cast<sockaddr_in*>(addr);
+  in->sin_family = AF_INET;
+  in->sin_port = htons(static_cast<std::uint16_t>(port));
+  *len = sizeof(sockaddr_in);
+  return ::inet_pton(AF_INET, host.empty() ? "127.0.0.1" : host.c_str(),
+                     &in->sin_addr) == 1;
 }
 
-const char* kind_label(sim::FailureKind k) {
-  return sim::failure_kind_name(k);
+/// Connect one endpoint before the monotonic `deadline`. Non-blocking,
+/// so a peer that never accepts costs a Timeout, not a hang: a TCP
+/// handshake in flight and a Unix listener with a full backlog (EAGAIN)
+/// are both retried until the deadline.
+LaneFault connect_endpoint(const std::string& endpoint, double deadline,
+                           int* fd_out) {
+  sockaddr_storage addr;
+  socklen_t len = 0;
+  if (!resolve_endpoint(endpoint, &addr, &len)) return LaneFault::Lost;
+  const int fd = ::socket(addr.ss_family, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return LaneFault::Lost;
+  while (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) != 0 &&
+         errno != EISCONN) {
+    const bool pending = errno == EINTR || errno == EAGAIN ||
+                         errno == EINPROGRESS || errno == EALREADY;
+    if (!pending || sandbox::monotonic_seconds() >= deadline) {
+      ::close(fd);
+      return pending ? LaneFault::Timeout : LaneFault::Lost;
+    }
+    sandbox::sleep_seconds(0.001);
+  }
+  // Frames are written with blocking writes from here on.
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+  *fd_out = fd;
+  return LaneFault::None;
+}
+
+DistConfig with_env_peers(DistConfig config) {
+  if (config.peers.empty()) {
+    if (const char* env = std::getenv("CITROEN_PEERS"))
+      config.peers = parse_peer_list(env);
+  }
+  return config;
+}
+
+sim::FailureKind failure_kind(LaneFault fault) {
+  switch (fault) {
+    case LaneFault::Timeout: return sim::FailureKind::PeerTimeout;
+    case LaneFault::Protocol: return sim::FailureKind::PeerProtocol;
+    default: return sim::FailureKind::PeerLost;
+  }
 }
 
 }  // namespace
@@ -134,129 +141,119 @@ ProgramSpec make_program_spec(const sim::ProgramEvaluator& bottom,
 
 DistEvaluator::DistEvaluator(sim::Evaluator& stack,
                              sim::ProgramEvaluator& bottom, DistConfig config)
-    : stack_(stack), bottom_(bottom), config_(std::move(config)) {
-  ::signal(SIGPIPE, SIG_IGN);  // a dead peer surfaces as EPIPE, not a kill
-  if (config_.peers.empty()) {
-    if (const char* env = std::getenv("CITROEN_PEERS"))
-      config_.peers = parse_peer_list(env);
-  }
-  peers_.reserve(config_.peers.size());
-  for (const auto& endpoint : config_.peers) {
-    Peer p;
-    p.endpoint = endpoint;
-    peers_.push_back(std::move(p));
-  }
-  jitter_state_ = config_.jitter_seed != 0
-                      ? config_.jitter_seed
-                      : (static_cast<std::uint64_t>(::getpid()) << 32) ^
-                            reinterpret_cast<std::uintptr_t>(this);
-}
-
-DistEvaluator::~DistEvaluator() {
-  for (Peer& p : peers_) disconnect(p);
-}
+    : ForwardingEvaluator(stack),
+      bottom_(bottom),
+      config_(with_env_peers(std::move(config))),
+      engine_(config_.peers.size(),
+              config_, config_.heartbeat_timeout_seconds,
+              {"dist_job", "dist", "peer", "citroen_dist_jobs_total",
+               "citroen_dist_heartbeats_total"},
+              {[this](std::size_t slot, sandbox::Lane& lane) {
+                 return connect_peer(slot, lane);
+               },
+               [this](std::size_t job, sandbox::SandboxResult& res) {
+                 on_result(job, res);
+               },
+               [this](const sandbox::LaneFailure& f) {
+                 return on_failure(f);
+               }}) {}
 
 bool DistEvaluator::pool_usable() const {
-  return !degraded_ && !injector_set_ && !peers_.empty();
+  return !degraded_ && !injector_set_ && !config_.peers.empty();
 }
 
-void DistEvaluator::disconnect(Peer& p) const {
-  if (p.fd >= 0) ::close(p.fd);
-  p.fd = -1;
-  p.reader.reset();
-  p.connected = false;
-  p.busy = false;
-  p.awaiting_pong = false;
+DistStats DistEvaluator::dist_stats() const {
+  DistStats s = stats_;
+  s.jobs_dispatched = engine_.jobs_dispatched();
+  s.heartbeats = engine_.heartbeats();
+  return s;
 }
 
-void DistEvaluator::publish_peer_metrics(const Peer& p) const {
+void DistEvaluator::publish_peer_metrics() const {
   if (!obs::metrics_enabled()) return;
   auto& reg = obs::Registry::instance();
-  char idx[24];
-  std::snprintf(idx, sizeof(idx), "%lu",
-                static_cast<unsigned long>(&p - peers_.data()));
-  reg.gauge("citroen_dist_peer_connected", "peer", idx)
-      .set(p.connected ? 1.0 : 0.0);
-  reg.gauge("citroen_dist_peer_banned", "peer", idx)
-      .set(p.banned ? 1.0 : 0.0);
-  reg.gauge("citroen_dist_peer_consecutive_failures", "peer", idx)
-      .set(static_cast<double>(p.consecutive_failures));
   double banned = 0;
-  for (const Peer& q : peers_) banned += q.banned ? 1.0 : 0.0;
+  const auto& lanes = engine_.lanes();
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::string idx = std::to_string(i);
+    reg.gauge("citroen_dist_peer_connected", "peer", idx)
+        .set(lanes[i].open ? 1.0 : 0.0);
+    reg.gauge("citroen_dist_peer_banned", "peer", idx)
+        .set(lanes[i].banned ? 1.0 : 0.0);
+    reg.gauge("citroen_dist_peer_consecutive_failures", "peer", idx)
+        .set(static_cast<double>(lanes[i].failures));
+    banned += lanes[i].banned ? 1.0 : 0.0;
+  }
   reg.gauge("citroen_dist_peers_banned").set(banned);
 }
 
 std::vector<DistEvaluator::PeerHealth> DistEvaluator::peer_health() const {
   std::vector<PeerHealth> out;
-  out.reserve(peers_.size());
-  for (const Peer& p : peers_) {
+  const auto& lanes = engine_.lanes();
+  out.reserve(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
     PeerHealth h;
-    h.endpoint = p.endpoint;
-    h.connected = p.connected;
-    h.banned = p.banned;
-    h.consecutive_failures = p.consecutive_failures;
-    h.clock_offset_ns = p.clock_offset_ns;
+    h.endpoint = config_.peers[i];
+    h.connected = lanes[i].open;
+    h.banned = lanes[i].banned;
+    h.consecutive_failures = lanes[i].failures;
+    h.clock_offset_ns = lanes[i].clock_offset_ns;
     out.push_back(std::move(h));
   }
   return out;
 }
 
-bool DistEvaluator::try_connect(Peer& p) const {
+LaneFault DistEvaluator::connect_peer(std::size_t slot, sandbox::Lane& lane) {
   ++stats_.reconnect_attempts;
   OBS_COUNTER_INC("citroen_dist_reconnect_attempts_total");
   const double deadline =
       sandbox::monotonic_seconds() + config_.connect_timeout_seconds;
-  p.fd = connect_endpoint(p.endpoint);
-  if (p.fd < 0) return false;
-  p.reader = std::make_unique<sandbox::FrameReader>(p.fd);
+  int fd = -1;
+  const LaneFault fault =
+      connect_endpoint(config_.peers[slot], deadline, &fd);
+  if (fault != LaneFault::None) return fault;
 
-  const std::uint64_t t0_ns = monotonic_ns();
-  if (sandbox::write_frame(
-          p.fd, tag_message(PeerMsg::Hello,
-                            encode_hello(config_.spec, t0_ns))) !=
-      IoStatus::Ok) {
-    disconnect(p);
-    return false;
-  }
+  const std::uint64_t t0_ns = sandbox::monotonic_ns();
   std::string payload;
-  const double remaining =
-      std::max(0.0, deadline - sandbox::monotonic_seconds());
-  if (p.reader->read(&payload, remaining) != IoStatus::Ok) {
-    disconnect(p);
-    return false;
-  }
-  const std::uint64_t t1_ns = monotonic_ns();
-  PeerMsg tag;
+  // Peers speak only when spoken to, so nothing can follow the HelloOk
+  // into this reader's buffer before the engine takes over the fd.
+  sandbox::FrameReader reader(fd);
+  sandbox::PeerMsg tag;
   std::string_view body;
   std::uint64_t pid = 0, fingerprint = 0, peer_now_ns = 0;
-  if (!untag_message(payload, &tag, &body) || tag != PeerMsg::HelloOk ||
+  if (sandbox::write_frame(
+          fd, sandbox::tag_message(sandbox::PeerMsg::Hello,
+                                   encode_hello(config_.spec, t0_ns))) !=
+          IoStatus::Ok ||
+      reader.read(&payload, std::max(0.0, deadline -
+                                              sandbox::monotonic_seconds())) !=
+          IoStatus::Ok ||
+      !sandbox::untag_message(payload, &tag, &body) ||
+      tag != sandbox::PeerMsg::HelloOk ||
       !decode_hello_ok(body, &pid, &fingerprint, &peer_now_ns) ||
       fingerprint != evaluator_fingerprint(bottom_)) {
-    // HelloErr, fingerprint divergence, or plain confusion: this peer
-    // would not produce bit-identical results — never use it.
-    disconnect(p);
-    return false;
+    // No answer, HelloErr, fingerprint divergence or plain confusion:
+    // this peer would not produce bit-identical results — never use it.
+    ::close(fd);
+    return LaneFault::Lost;
   }
-  p.pid = pid;
+  const std::uint64_t t1_ns = sandbox::monotonic_ns();
+  lane.fd = fd;
+  lane.pid = pid;
   // Midpoint clock-offset estimate: the peer stamped its HelloOk
   // somewhere inside our [t0, t1] round trip, so (remote − local) ≈
   // peer_ts − (t0+t1)/2, off by at most half the RTT. Re-measured on
   // every reconnect, so peer restarts and clock steps heal themselves.
-  p.clock_offset_ns =
-      static_cast<std::int64_t>(peer_now_ns) -
-      static_cast<std::int64_t>(t0_ns / 2 + t1_ns / 2);
-  p.connected = true;
-  p.consecutive_failures = 0;
-  p.last_activity = sandbox::monotonic_seconds();
+  lane.clock_offset_ns = static_cast<std::int64_t>(peer_now_ns) -
+                         static_cast<std::int64_t>(t0_ns / 2 + t1_ns / 2);
   ++stats_.connects;
   OBS_COUNTER_INC("citroen_dist_connects_total");
-  publish_peer_metrics(p);
-  return true;
+  return LaneFault::None;
 }
 
-void DistEvaluator::handle_peer_failure(Peer& p, sim::FailureKind kind,
-                                        std::vector<BatchJob>& jobs,
-                                        std::vector<std::size_t>& queue) const {
+bool DistEvaluator::on_failure(const sandbox::LaneFailure& f) {
+  const sim::FailureKind kind = failure_kind(f.fault);
+  const char* label = sim::failure_kind_name(kind);
   switch (kind) {
     case sim::FailureKind::PeerTimeout: ++stats_.peer_timeout; break;
     case sim::FailureKind::PeerProtocol: ++stats_.peer_protocol; break;
@@ -265,132 +262,42 @@ void DistEvaluator::handle_peer_failure(Peer& p, sim::FailureKind kind,
   OBS_COUNTER_INC("citroen_dist_peer_deaths_total");
   if (obs::trace_enabled())
     obs::emit('I', "dist_peer_death", "dist", 0, "kind",
-              static_cast<std::uint64_t>(kind), kind_label(kind));
-  obs::flight_record("peer_death",
-                     static_cast<std::uint64_t>(&p - peers_.data()),
-                     static_cast<std::uint64_t>(kind), kind_label(kind));
+              static_cast<std::uint64_t>(kind), label);
+  obs::flight_record("peer_death", f.lane, static_cast<std::uint64_t>(kind),
+                     label);
 
-  if (p.busy) {
-    if (obs::trace_enabled()) obs::emit('e', "dist_job", "dist", p.job_id);
-    BatchJob& job = jobs[p.job];
-    ++job.attempts;
-    if (job.attempts < config_.max_attempts_per_job) {
-      queue.push_back(p.job);
+  // A peer's failure says nothing about the candidate: never blame it.
+  bool requeue = false;
+  if (f.job != sandbox::kNoJob) {
+    const int attempts = ++batch_attempts_[f.job];
+    if (attempts < config_.max_attempts_per_job) {
+      requeue = true;
       ++stats_.reassigned;
-      OBS_INSTANT_ARG("dist_reassign", "dist", "attempt", job.attempts);
+      OBS_INSTANT_ARG("dist_reassign", "dist", "attempt", attempts);
       OBS_COUNTER_INC("citroen_dist_reassigns_total");
     } else {
       // Out of remote attempts: the job falls through to the local
       // stack (sandboxed or in-process), which owns correctness anyway.
-      job.done = true;
       ++stats_.local_fallback;
       OBS_COUNTER_INC("citroen_dist_local_fallback_total");
     }
   }
 
-  disconnect(p);
-  ++p.consecutive_failures;
-  if (p.consecutive_failures >= config_.breaker_threshold) {
-    if (!p.banned) {
-      p.banned = true;
-      ++stats_.bans;
-      OBS_INSTANT("dist_peer_banned", "dist");
-      OBS_COUNTER_INC("citroen_dist_bans_total");
-      obs::flight_record("peer_banned",
-                         static_cast<std::uint64_t>(&p - peers_.data()),
-                         static_cast<std::uint64_t>(p.consecutive_failures));
-    }
-    publish_peer_metrics(p);
-    return;
+  if (f.banned) {
+    ++stats_.bans;
+    OBS_INSTANT("dist_peer_banned", "dist");
+    OBS_COUNTER_INC("citroen_dist_bans_total");
+    obs::flight_record(
+        "peer_banned", f.lane,
+        static_cast<std::uint64_t>(engine_.lanes()[f.lane].failures));
+  } else {
+    ++stats_.backoffs;
+    OBS_COUNTER_INC("citroen_dist_backoffs_total");
   }
-  p.next_attempt =
-      sandbox::monotonic_seconds() +
-      support::respawn_backoff(p.consecutive_failures,
-                               config_.reconnect_backoff_seconds,
-                               config_.reconnect_backoff_max_seconds,
-                               config_.reconnect_jitter, &jitter_state_);
-  ++stats_.backoffs;
-  OBS_COUNTER_INC("citroen_dist_backoffs_total");
-  publish_peer_metrics(p);
+  return requeue;
 }
 
-bool DistEvaluator::dispatch(Peer& p, std::size_t job_index,
-                             std::vector<BatchJob>& jobs,
-                             std::vector<std::size_t>& queue,
-                             bool with_measure) const {
-  sandbox::SandboxJob job;
-  job.id = next_job_id_++;
-  job.kind =
-      with_measure ? sandbox::JobKind::Evaluate : sandbox::JobKind::Compile;
-  job.assignment = *jobs[job_index].seqs;
-
-  ++stats_.jobs_dispatched;
-  OBS_COUNTER_INC("citroen_dist_jobs_total");
-  // Mark the peer busy *before* writing: a failed write then flows
-  // through handle_peer_failure, which requeues (or retires) the job —
-  // a job must never silently vanish from the batch.
-  p.busy = true;
-  p.job = job_index;
-  p.job_id = job.id;
-  p.last_activity = sandbox::monotonic_seconds();
-  p.deadline = config_.job_wall_timeout_seconds > 0
-                   ? p.last_activity + config_.job_wall_timeout_seconds
-                   : 0;
-  if (obs::trace_enabled()) {
-    obs::emit('b', "dist_job", "dist", job.id, "peer",
-              static_cast<std::uint64_t>(&p - peers_.data()));
-    // Flow start: the peer emits the matching 'f' inside its peer_job
-    // span (same id), linking dispatch to remote execution in the
-    // merged trace.
-    obs::emit('s', "dist_job", "dist", job.id);
-  }
-  if (sandbox::write_frame(
-          p.fd, tag_message(PeerMsg::Job, sandbox::encode_job(job))) !=
-      IoStatus::Ok) {
-    handle_peer_failure(p, sim::FailureKind::PeerLost, jobs, queue);
-    return false;
-  }
-
-  if (config_.kill_peer_job_id >= 0 &&
-      job.id == static_cast<std::uint64_t>(config_.kill_peer_job_id) &&
-      p.pid != 0) {
-    // TEST HOOK: external SIGKILL mid-job, exactly what the containment
-    // gate does to prove reassignment keeps output identical.
-    ::kill(static_cast<pid_t>(p.pid), SIGKILL);
-  }
-  return true;
-}
-
-bool DistEvaluator::service_frame(Peer& p, const std::string& payload,
-                                  std::vector<BatchJob>& jobs,
-                                  std::vector<std::size_t>& queue,
-                                  std::size_t* completed) const {
-  (void)queue;
-  PeerMsg tag;
-  std::string_view body;
-  if (!untag_message(payload, &tag, &body)) return false;
-
-  if (tag == PeerMsg::Pong) {
-    std::uint64_t nonce = 0;
-    if (!decode_nonce(body, &nonce)) return false;
-    p.awaiting_pong = false;
-    p.last_activity = sandbox::monotonic_seconds();
-    return true;
-  }
-  if (tag != PeerMsg::Result || !p.busy) return false;
-
-  sandbox::SandboxResult res;
-  std::string err;
-  if (!sandbox::decode_result(std::string(body), &res, &err)) return false;
-  if (res.id != p.job_id) return false;  // stream out of sync
-
-  // Splice the peer's piggybacked trace events + counter deltas into our
-  // sink/registry, re-based by the handshake-measured clock offset so
-  // the remote peer_job span lands inside our timeline.
-  if (!res.obs_events.empty() || !res.obs_counters.empty())
-    sandbox::ingest_result_obs(res, static_cast<std::uint32_t>(p.pid),
-                               p.clock_offset_ns);
-
+void DistEvaluator::on_result(std::size_t job, sandbox::SandboxResult& res) {
   if (res.status == sandbox::ResultStatus::Ok && res.pure.built &&
       !res.pure.runs.empty())
     bottom_.install_measure_memo(res.pure.binary_hash,
@@ -399,53 +306,11 @@ bool DistEvaluator::service_frame(Peer& p, const std::string& payload,
   // did the pure work and learned there is nothing to memoize; the
   // local serial path recomputes that verdict from its own (cached)
   // build, bit-identically.
-  BatchJob& job = jobs[p.job];
-  job.done = true;
-  vetted_.insert(job.sig);
+  vetted_.insert(batch_sigs_[job]);
   ++stats_.jobs_ok;
-  if (completed) ++*completed;
-  if (obs::trace_enabled()) obs::emit('e', "dist_job", "dist", p.job_id);
-  p.busy = false;
-  p.consecutive_failures = 0;
-  p.last_activity = sandbox::monotonic_seconds();
-  return true;
 }
 
-void DistEvaluator::probe_peers() const {
-  std::vector<BatchJob> no_jobs;
-  std::vector<std::size_t> no_queue;
-  for (Peer& p : peers_) {
-    if (!p.connected || p.busy) continue;
-    const std::uint64_t nonce = ++ping_nonce_;
-    ++stats_.heartbeats;
-    OBS_COUNTER_INC("citroen_dist_heartbeats_total");
-    if (sandbox::write_frame(
-            p.fd, tag_message(PeerMsg::Ping, encode_nonce(nonce))) !=
-        IoStatus::Ok) {
-      handle_peer_failure(p, sim::FailureKind::PeerLost, no_jobs, no_queue);
-      continue;
-    }
-    std::string payload;
-    const IoStatus st =
-        p.reader->read(&payload, config_.heartbeat_timeout_seconds);
-    if (st == IoStatus::Timeout) {
-      handle_peer_failure(p, sim::FailureKind::PeerTimeout, no_jobs, no_queue);
-      continue;
-    }
-    if (st != IoStatus::Ok ||
-        !service_frame(p, payload, no_jobs, no_queue, nullptr)) {
-      handle_peer_failure(p,
-                          st == IoStatus::Corrupt || st == IoStatus::Ok
-                              ? sim::FailureKind::PeerProtocol
-                              : sim::FailureKind::PeerLost,
-                          no_jobs, no_queue);
-      continue;
-    }
-    p.awaiting_pong = false;
-  }
-}
-
-void DistEvaluator::brownout(const char* why) const {
+void DistEvaluator::brownout(const char* why) {
   if (degraded_) return;
   degraded_ = true;
   obs::flight_record("pool_brownout", 0, 0, why);
@@ -459,185 +324,40 @@ void DistEvaluator::brownout(const char* why) const {
                why);
 }
 
-void DistEvaluator::run_batch(std::span<const sim::SequenceAssignment> batch,
-                              bool with_measure) const {
-  if (!with_measure) return;  // compile-only vetting stays local (cheap)
-
-  std::vector<BatchJob> jobs;
-  std::vector<std::size_t> queue;
+void DistEvaluator::measure_remotely(
+    std::span<const sim::SequenceAssignment> batch) {
+  std::vector<const sim::SequenceAssignment*> jobs;
   std::unordered_set<std::uint64_t> in_batch;
+  batch_sigs_.clear();
   for (const auto& seqs : batch) {
     const std::uint64_t sig = sim::assignment_signature(seqs);
     if (vetted_.count(sig) || !in_batch.insert(sig).second) continue;
-    BatchJob job;
-    job.seqs = &seqs;
-    job.sig = sig;
-    jobs.push_back(job);
-    queue.push_back(jobs.size() - 1);
+    jobs.push_back(&seqs);
+    batch_sigs_.push_back(sig);
   }
   if (jobs.empty()) return;
   OBS_SPAN("dist_batch", "dist");
-
-  auto any_busy = [&] {
-    for (const Peer& p : peers_)
-      if (p.busy) return true;
-    return false;
-  };
-
-  while (!degraded_ && (!queue.empty() || any_busy())) {
-    const double now = sandbox::monotonic_seconds();
-
-    // 1) (Re)connect peers that are due, while work remains.
-    if (!queue.empty()) {
-      for (Peer& p : peers_) {
-        if (p.connected || p.banned || now < p.next_attempt) continue;
-        if (!try_connect(p))
-          handle_peer_failure(p, sim::FailureKind::PeerLost, jobs, queue);
-      }
-    }
-
-    // 2) Dispatch queued jobs onto free peers (pipelined: every free
-    //    peer gets one in-flight job).
-    for (Peer& p : peers_) {
-      if (queue.empty()) break;
-      if (!p.connected || p.busy || p.awaiting_pong) continue;
-      const std::size_t job_index = queue.back();
-      queue.pop_back();
-      if (!dispatch(p, job_index, jobs, queue, with_measure)) continue;
-    }
-
-    // 3) Heartbeat-probe idle connected peers while we wait on others
-    //    (queue empty but jobs still in flight elsewhere).
-    for (Peer& p : peers_) {
-      if (!p.connected || p.busy || p.awaiting_pong) continue;
-      if (config_.heartbeat_interval_seconds > 0 &&
-          now - p.last_activity >= config_.heartbeat_interval_seconds) {
-        const std::uint64_t nonce = ++ping_nonce_;
-        ++stats_.heartbeats;
-        OBS_COUNTER_INC("citroen_dist_heartbeats_total");
-        if (sandbox::write_frame(
-                p.fd, tag_message(PeerMsg::Ping, encode_nonce(nonce))) !=
-            IoStatus::Ok) {
-          handle_peer_failure(p, sim::FailureKind::PeerLost, jobs, queue);
-          continue;
-        }
-        p.awaiting_pong = true;
-        p.pong_deadline = now + config_.heartbeat_timeout_seconds;
-      }
-    }
-
-    // 4) Total-brownout check: nothing in flight, work queued, and no
-    //    peer can ever take it.
-    if (!queue.empty() && !any_busy()) {
-      bool any_candidate = false;
-      double earliest = 0;
-      for (const Peer& p : peers_) {
-        if (p.banned) continue;
-        any_candidate = true;
-        if (!p.connected)
-          earliest = earliest == 0 ? p.next_attempt
-                                   : std::min(earliest, p.next_attempt);
-      }
-      if (!any_candidate) {
-        stats_.local_fallback += queue.size();
-        for (const std::size_t j : queue) jobs[j].done = true;
-        queue.clear();
-        brownout("every peer banned");
-        break;
-      }
-      bool any_connected_free = false;
-      for (const Peer& p : peers_)
-        if (p.connected && !p.busy) any_connected_free = true;
-      if (!any_connected_free) {
-        // All candidates are backing off; sleep to the earliest gate.
-        sleep_seconds(std::clamp(earliest - now, 0.001, 0.1));
-        continue;
-      }
-      continue;  // a free connected peer exists: loop back to dispatch
-    }
-
-    // 5) Wait for results/pongs with a deadline-aware poll.
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> owners;
-    double wake = now + 0.25;
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      Peer& p = peers_[i];
-      if (!p.connected) continue;
-      if (p.busy || p.awaiting_pong) {
-        fds.push_back(pollfd{p.fd, POLLIN, 0});
-        owners.push_back(i);
-        if (p.busy && p.deadline > 0) wake = std::min(wake, p.deadline);
-        if (p.awaiting_pong) wake = std::min(wake, p.pong_deadline);
-      }
-    }
-    if (!fds.empty()) {
-      const int timeout_ms = std::max(
-          1, static_cast<int>((wake - sandbox::monotonic_seconds()) * 1e3));
-      const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
-      if (rc > 0) {
-        for (std::size_t k = 0; k < fds.size(); ++k) {
-          if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-          Peer& p = peers_[owners[k]];
-          if (!p.connected) continue;  // torn down by an earlier iteration
-          bool failed = false;
-          sim::FailureKind kind = sim::FailureKind::PeerLost;
-          do {
-            std::string payload;
-            std::string err;
-            const IoStatus st = p.reader->read(&payload, 0.0, &err);
-            if (st == IoStatus::Timeout) break;  // drained
-            if (st == IoStatus::Ok) {
-              std::size_t completed = 0;
-              if (!service_frame(p, payload, jobs, queue, &completed)) {
-                failed = true;
-                kind = sim::FailureKind::PeerProtocol;
-                break;
-              }
-              continue;
-            }
-            failed = true;
-            kind = st == IoStatus::Corrupt ? sim::FailureKind::PeerProtocol
-                                           : sim::FailureKind::PeerLost;
-            break;
-          } while (p.reader && p.reader->pending());
-          if (failed) handle_peer_failure(p, kind, jobs, queue);
-        }
-      }
-    }
-
-    // 6) Enforce wall deadlines (job and pong).
-    const double after = sandbox::monotonic_seconds();
-    for (Peer& p : peers_) {
-      if (!p.connected) continue;
-      if (p.busy && p.deadline > 0 && after >= p.deadline)
-        handle_peer_failure(p, sim::FailureKind::PeerTimeout, jobs, queue);
-      else if (p.awaiting_pong && after >= p.pong_deadline)
-        handle_peer_failure(p, sim::FailureKind::PeerTimeout, jobs, queue);
-    }
+  batch_attempts_.assign(jobs.size(), 0);
+  const std::size_t left =
+      engine_.run(jobs, sandbox::JobKind::Evaluate, nullptr);
+  if (left > 0) {
+    // Every peer is banned: what is still queued falls back locally.
+    stats_.local_fallback += left;
+    brownout("every peer banned");
   }
-
-  if (degraded_) {
-    // Anything still queued or in flight at brownout falls back locally.
-    stats_.local_fallback += queue.size();
-    queue.clear();
-    for (Peer& p : peers_) disconnect(p);
-  }
+  publish_peer_metrics();
 }
 
 sim::EvalOutcome DistEvaluator::evaluate(const sim::SequenceAssignment& seqs) {
-  if (pool_usable()) {
-    const std::uint64_t sig = sim::assignment_signature(seqs);
-    if (!vetted_.count(sig))
-      run_batch(std::span<const sim::SequenceAssignment>(&seqs, 1),
-                /*with_measure=*/true);
-  }
-  return stack_.evaluate(seqs);
+  if (pool_usable()) measure_remotely({&seqs, 1});
+  return inner_.evaluate(seqs);
 }
 
 void DistEvaluator::prefetch(std::span<const sim::SequenceAssignment> batch,
                              bool with_measure) {
-  if (pool_usable()) run_batch(batch, with_measure);
-  stack_.prefetch(batch, with_measure);
+  // Compile-only vetting stays local (cheap).
+  if (with_measure && pool_usable()) measure_remotely(batch);
+  inner_.prefetch(batch, with_measure);
 }
 
 }  // namespace citroen::dist

@@ -2,12 +2,13 @@
 // Pool side of the distributed evaluation tier.
 //
 // `DistEvaluator` decorates an evaluator stack with a pool of
-// socket-connected peer workers (dist/peer.hpp) speaking the sandbox
-// wire format (dist/wire.hpp). It lifts the supervisor playbook —
-// lazy connection, per-job wall deadlines, death classification,
-// circuit breaking, jittered-backoff retry — from forked pipe workers
-// to remote peers, and adds what remoteness requires: heartbeat
-// liveness probes, per-peer reconnect backoff, and job *reassignment*.
+// socket-connected peer workers (dist/peer.hpp). Each peer is one lane
+// of a `sandbox::RemoteEngine` (sandbox/remote.hpp) — the engine the
+// sandbox runs its forked workers on — which owns dispatch, deadlines,
+// heartbeats, the per-peer breaker and reconnect backoff. This class
+// keeps only the pool's policy: open a lane by connecting and shaking
+// hands (Hello, fingerprint check, clock offset), reassign the job of a
+// failed lane, and brown out when every peer is banned.
 //
 // The byte-identity contract differs from the sandbox's in one
 // deliberate way. A sandbox worker dying tells you something about the
@@ -36,18 +37,17 @@
 // the SandboxedEvaluator it mirrors.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "dist/wire.hpp"
-#include "sandbox/ipc.hpp"
+#include "sandbox/remote.hpp"
 #include "sim/evaluator.hpp"
 
 namespace citroen::dist {
 
-struct DistConfig {
+struct DistConfig : sandbox::RemoteConfig {
   /// Peer endpoints: "unix:<path>" (or any string containing '/') for
   /// Unix sockets, "tcp:<ip>:<port>" or "<ip>:<port>" for TCP. Empty
   /// reads a comma-separated list from CITROEN_PEERS; still empty means
@@ -55,32 +55,14 @@ struct DistConfig {
   std::vector<std::string> peers;
   /// Everything a peer needs to rebuild this evaluator (wire.hpp).
   ProgramSpec spec;
-  /// Wall-clock deadline per remote job; past it the connection is torn
-  /// down and the job reassigned (peer-timeout). <= 0 disables.
-  double job_wall_timeout_seconds = 30.0;
   /// Deadline for connect + Hello/HelloOk on one attempt.
   double connect_timeout_seconds = 5.0;
-  /// An idle connected peer is pinged after this long without traffic…
-  double heartbeat_interval_seconds = 5.0;
-  /// …and torn down (peer-timeout) if no Pong arrives within this.
+  /// A peer idle for 5 s is pinged and torn down (peer-timeout) if no
+  /// Pong arrives within this.
   double heartbeat_timeout_seconds = 2.0;
   /// Distinct dispatch attempts per job before it falls back to the
   /// local stack.
   int max_attempts_per_job = 3;
-  /// Consecutive failures that ban one peer for the rest of the run.
-  int breaker_threshold = 3;
-  double reconnect_backoff_seconds = 0.05;     ///< first retry delay
-  double reconnect_backoff_max_seconds = 1.0;  ///< retry-delay ceiling
-  /// Reconnect delays are jittered (support::jittered_backoff) so N
-  /// pools dropped by one peer restart don't stampede it in lockstep.
-  double reconnect_jitter = 0.5;
-  /// Seed for the jitter stream; 0 derives one from pid + this-address.
-  std::uint64_t jitter_seed = 0;
-  /// TEST HOOK: SIGKILL the serving peer process (pid learned from
-  /// HelloOk — meaningful for localhost peers only) right after
-  /// dispatching the job with this id (-1 = never). Exercises the
-  /// external mid-job kill the ext_dist_containment gate asserts on.
-  std::int64_t kill_peer_job_id = -1;
 };
 
 struct DistStats {
@@ -106,7 +88,7 @@ ProgramSpec make_program_spec(const sim::ProgramEvaluator& bottom,
                               const std::string& machine,
                               std::uint64_t workload_seed = 42);
 
-class DistEvaluator final : public sim::Evaluator {
+class DistEvaluator final : public sim::ForwardingEvaluator {
  public:
   /// `stack` is the evaluator this layer forwards to (the sandboxed or
   /// plain local path — the next rung down the degradation ladder);
@@ -115,40 +97,18 @@ class DistEvaluator final : public sim::Evaluator {
   /// pass the same object twice.
   DistEvaluator(sim::Evaluator& stack, sim::ProgramEvaluator& bottom,
                 DistConfig config);
-  ~DistEvaluator() override;
 
   DistEvaluator(const DistEvaluator&) = delete;
   DistEvaluator& operator=(const DistEvaluator&) = delete;
 
-  const ir::Program& base_program() const override {
-    return stack_.base_program();
-  }
-  const std::string& program_name() const override {
-    return stack_.program_name();
-  }
-  double o3_cycles() const override { return stack_.o3_cycles(); }
-  double o0_cycles() const override { return stack_.o0_cycles(); }
-  std::int64_t reference_output() const override {
-    return stack_.reference_output();
-  }
-  std::vector<std::pair<std::string, double>> hot_modules() const override {
-    return stack_.hot_modules();
-  }
-  bool is_quarantined(const sim::SequenceAssignment& seqs) const override {
-    return stack_.is_quarantined(seqs);
-  }
-  /// Remote dispatch pauses while an injector is installed: peers ignore
-  /// fault plans (real-fault injection is a sandbox concern), so a
-  /// remote memo would bypass the injected faults and change results.
-  /// The local stack below applies the injector exactly as ever.
+  /// Remote dispatch pauses while an injector is installed: the pool
+  /// sends peers no fault plan (real-fault injection is a sandbox
+  /// concern), so a remote memo would bypass the injected faults and
+  /// change results. The local stack below applies the injector exactly
+  /// as ever.
   void set_fault_injector(const sim::FaultInjector* injector) override {
     injector_set_ = injector != nullptr;
-    stack_.set_fault_injector(injector);
-  }
-
-  sim::CompileOutcome compile(const sim::SequenceAssignment& seqs,
-                              bool keep_program = false) const override {
-    return stack_.compile(seqs, keep_program);
+    inner_.set_fault_injector(injector);
   }
 
   /// Remote-measure the candidate (unless already vetted or the pool is
@@ -161,34 +121,17 @@ class DistEvaluator final : public sim::Evaluator {
   void prefetch(std::span<const sim::SequenceAssignment> batch,
                 bool with_measure = true) override;
 
-  double total_compile_seconds() const override {
-    return stack_.total_compile_seconds();
-  }
-  double total_measure_seconds() const override {
-    return stack_.total_measure_seconds();
-  }
-  int num_compiles() const override { return stack_.num_compiles(); }
-  int num_measurements() const override { return stack_.num_measurements(); }
-  int num_cache_hits() const override { return stack_.num_cache_hits(); }
-
-  /// Synchronous liveness sweep: ping every connected idle peer and reap
-  /// the ones that fail to Pong within heartbeat_timeout_seconds
-  /// (classified peer-timeout, connection torn down, reconnect backoff
-  /// applied). The batch loop runs this while waiting; exposed so tests
-  /// and long-idle callers can probe deterministically.
-  void probe_peers() const;
-
-  const DistStats& dist_stats() const { return stats_; }
+  DistStats dist_stats() const;
   /// Whole-pool brownout: every peer banned/unreachable; the pool is
   /// permanently out for this run and everything runs on the stack.
   bool degraded() const { return degraded_; }
   /// Peers configured (after endpoint parsing), not necessarily alive.
-  int peer_count() const { return static_cast<int>(peers_.size()); }
+  int peer_count() const { return static_cast<int>(config_.peers.size()); }
   /// Last handshake-measured clock offset for peer `i` (remote − local
   /// CLOCK_MONOTONIC, ns; 0 before the first connect). Re-measured every
   /// reconnect. Exposed for tests and the Inspect snapshot.
   std::int64_t peer_clock_offset_ns(int i) const {
-    return peers_[static_cast<std::size_t>(i)].clock_offset_ns;
+    return engine_.lanes()[static_cast<std::size_t>(i)].clock_offset_ns;
   }
 
   /// One row of peer-pool health for the Inspect snapshot.
@@ -202,75 +145,32 @@ class DistEvaluator final : public sim::Evaluator {
   std::vector<PeerHealth> peer_health() const;
 
  private:
-  struct Peer {
-    std::string endpoint;
-    int fd = -1;
-    std::unique_ptr<sandbox::FrameReader> reader;
-    std::uint64_t pid = 0;     ///< from HelloOk (0 = unknown)
-    /// Handshake-measured (remote − local) CLOCK_MONOTONIC offset, used
-    /// to re-base piggybacked peer trace events into our timeline.
-    std::int64_t clock_offset_ns = 0;
-    bool connected = false;
-    bool banned = false;
-    int consecutive_failures = 0;
-    double next_attempt = 0;   ///< monotonic time gate for reconnects
-    double last_activity = 0;  ///< last frame in either direction
-    // In-flight job (busy) or outstanding ping (awaiting_pong):
-    bool busy = false;
-    std::size_t job = 0;       ///< index into the batch job vector
-    std::uint64_t job_id = 0;
-    double deadline = 0;
-    bool awaiting_pong = false;
-    double pong_deadline = 0;
-  };
+  /// Engine hooks: connect and handshake lane `slot`; take a result;
+  /// reassign (or give up on) the job of a failed lane.
+  sandbox::LaneFault connect_peer(std::size_t slot, sandbox::Lane& lane);
+  void on_result(std::size_t job, sandbox::SandboxResult& res);
+  bool on_failure(const sandbox::LaneFailure& f);
 
-  struct BatchJob {
-    const sim::SequenceAssignment* seqs = nullptr;
-    std::uint64_t sig = 0;
-    int attempts = 0;
-    bool done = false;
-  };
-
-  bool try_connect(Peer& p) const;
-  void disconnect(Peer& p) const;
-  /// Export this peer's breaker state (connected / banned /
+  /// Export every peer's breaker state (connected / banned /
   /// consecutive_failures) plus the pool-wide banned count as gauges.
   /// Per-peer values are labeled children (peer="<index>") of one gauge
   /// family each, so this hits the registry directly instead of the
   /// static-caching OBS macros.
-  void publish_peer_metrics(const Peer& p) const;
-  /// Classify a failure on `p`, requeue/abandon its in-flight job, apply
-  /// reconnect backoff and the per-peer breaker.
-  void handle_peer_failure(Peer& p, sim::FailureKind kind,
-                           std::vector<BatchJob>& jobs,
-                           std::vector<std::size_t>& queue) const;
-  bool dispatch(Peer& p, std::size_t job_index, std::vector<BatchJob>& jobs,
-                std::vector<std::size_t>& queue, bool with_measure) const;
-  /// Drain one decoded frame from `p`. False => the peer failed.
-  bool service_frame(Peer& p, const std::string& payload,
-                     std::vector<BatchJob>& jobs,
-                     std::vector<std::size_t>& queue,
-                     std::size_t* completed) const;
-  /// Run the whole vetting batch across the pool. Returns normally even
-  /// on total brownout — unfinished jobs just stay un-memoized.
-  void run_batch(std::span<const sim::SequenceAssignment> batch,
-                 bool with_measure) const;
-  void brownout(const char* why) const;
+  void publish_peer_metrics() const;
+  /// Measure the batch across the pool. Returns normally even on total
+  /// brownout — unfinished jobs just stay un-memoized.
+  void measure_remotely(std::span<const sim::SequenceAssignment> batch);
+  void brownout(const char* why);
   bool pool_usable() const;
 
-  sim::Evaluator& stack_;
   sim::ProgramEvaluator& bottom_;
   DistConfig config_;
-
-  // Dispatch state is logically part of a const vetting query, hence
-  // mutable (same shape as SandboxedEvaluator).
-  mutable std::vector<Peer> peers_;
-  mutable std::unordered_set<std::uint64_t> vetted_;
-  mutable DistStats stats_;
-  mutable std::uint64_t next_job_id_ = 0;
-  mutable std::uint64_t jitter_state_ = 0;
-  mutable std::uint64_t ping_nonce_ = 0;
-  mutable bool degraded_ = false;
+  sandbox::RemoteEngine engine_;
+  std::unordered_set<std::uint64_t> vetted_;
+  std::vector<std::uint64_t> batch_sigs_;  ///< the batch being run
+  std::vector<int> batch_attempts_;        ///< dispatch attempts per job
+  DistStats stats_;
+  bool degraded_ = false;
   bool injector_set_ = false;
 };
 

@@ -5,39 +5,6 @@
 
 namespace citroen::dist {
 
-const char* peer_msg_name(PeerMsg m) {
-  switch (m) {
-    case PeerMsg::Hello: return "hello";
-    case PeerMsg::HelloOk: return "hello-ok";
-    case PeerMsg::HelloErr: return "hello-err";
-    case PeerMsg::Job: return "job";
-    case PeerMsg::Result: return "result";
-    case PeerMsg::Ping: return "ping";
-    case PeerMsg::Pong: return "pong";
-  }
-  return "unknown";
-}
-
-std::string tag_message(PeerMsg tag, std::string_view body) {
-  std::string out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<char>(tag));
-  out.append(body.data(), body.size());
-  return out;
-}
-
-bool untag_message(std::string_view payload, PeerMsg* tag,
-                   std::string_view* body) {
-  if (payload.empty()) return false;
-  const auto t = static_cast<std::uint8_t>(payload[0]);
-  if (t < static_cast<std::uint8_t>(PeerMsg::Hello) ||
-      t > static_cast<std::uint8_t>(PeerMsg::Pong))
-    return false;
-  *tag = static_cast<PeerMsg>(t);
-  *body = payload.substr(1);
-  return true;
-}
-
 std::string encode_hello(const ProgramSpec& spec, std::uint64_t pool_now_ns) {
   persist::Writer w;
   w.u32(kProtocolVersion);
@@ -115,22 +82,6 @@ bool decode_hello_err(std::string_view body, std::string* reason) {
   try {
     persist::Reader r(body.data(), body.size());
     *reason = r.str();
-    return r.at_end();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-std::string encode_nonce(std::uint64_t nonce) {
-  persist::Writer w;
-  w.u64(nonce);
-  return w.take();
-}
-
-bool decode_nonce(std::string_view body, std::uint64_t* nonce) {
-  try {
-    persist::Reader r(body.data(), body.size());
-    *nonce = r.u64();
     return r.at_end();
   } catch (const std::exception&) {
     return false;

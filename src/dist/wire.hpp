@@ -1,19 +1,14 @@
 #pragma once
-// Peer-pool wire protocol: the sandbox wire format, lifted to sockets.
-//
-// Remote dispatch rides the exact machinery the forked-worker sandbox
-// already trusts — `sandbox/ipc.hpp` CRC frames on the outside,
-// `sandbox/protocol.*` persist-codec job/result payloads on the inside.
-// The only addition is a one-byte message tag in front of each payload,
-// because a socket peer (unlike a forked worker) needs a handshake and
-// liveness probes multiplexed onto the same stream:
-//
-//   frame payload := [u8 PeerMsg][body]
+// Peer handshake: the messages a socket peer needs beyond the lane
+// protocol every worker speaks (sandbox/protocol.hpp: tagged Job /
+// Result / Ping / Pong frames inside ipc.hpp CRC frames). A forked
+// sandbox worker inherits its evaluator; a peer shares no memory with
+// the pool, so each connection opens with
 //
 //   Hello    (pool -> peer): u32 proto version, program spec + exec
 //            limits — everything a peer needs to reconstruct the pool's
-//            ProgramEvaluator from scratch (peers share no memory) —
-//            plus the pool's CLOCK_MONOTONIC send time.
+//            ProgramEvaluator from scratch — plus the pool's
+//            CLOCK_MONOTONIC send time.
 //   HelloOk  (peer -> pool): u64 peer pid, u64 evaluator fingerprint,
 //            u64 peer CLOCK_MONOTONIC reply time. The pool compares
 //            fingerprints and refuses peers whose evaluator would not
@@ -24,13 +19,6 @@
 //            every reconnect, so a peer restart or clock step heals on
 //            the next handshake.
 //   HelloErr (peer -> pool): str reason (unknown program, bad version).
-//   Job      (pool -> peer): sandbox::encode_job bytes, verbatim.
-//   Result   (peer -> pool): sandbox::encode_result bytes, verbatim.
-//   Ping     (pool -> peer): u64 nonce.   Heartbeat liveness probe.
-//   Pong     (peer -> pool): u64 nonce echo.
-//
-// No second wire format: a Job/Result body is byte-for-byte what the
-// sandbox supervisor would write down a worker pipe.
 
 #include <cstdint>
 #include <string>
@@ -45,18 +33,6 @@ namespace citroen::dist {
 
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
-enum class PeerMsg : std::uint8_t {
-  Hello = 1,
-  HelloOk = 2,
-  HelloErr = 3,
-  Job = 4,
-  Result = 5,
-  Ping = 6,
-  Pong = 7,
-};
-
-const char* peer_msg_name(PeerMsg m);
-
 /// Everything a peer needs to rebuild the pool's evaluator bit-exactly:
 /// benchmark name + workload seeds (bench_suite::make_program), machine
 /// model name (sim::machine_by_name) and interpreter limits.
@@ -69,15 +45,6 @@ struct ProgramSpec {
   std::uint64_t max_memory_bytes = 0;  ///< 0 = ExecLimits default
   std::int32_t max_call_depth = 0;     ///< 0 = ExecLimits default
 };
-
-/// Prefix `body` with the message tag (the result goes inside one CRC
-/// frame, i.e. `sandbox::write_frame(fd, tag_message(...))`).
-std::string tag_message(PeerMsg tag, std::string_view body);
-
-/// Split a received frame payload into tag + body. False when empty or
-/// the tag byte is out of range — protocol corruption, peer-fatal.
-bool untag_message(std::string_view payload, PeerMsg* tag,
-                   std::string_view* body);
 
 std::string encode_hello(const ProgramSpec& spec,
                          std::uint64_t pool_now_ns = 0);
@@ -92,9 +59,6 @@ bool decode_hello_ok(std::string_view body, std::uint64_t* pid,
 
 std::string encode_hello_err(const std::string& reason);
 bool decode_hello_err(std::string_view body, std::string* reason);
-
-std::string encode_nonce(std::uint64_t nonce);  ///< Ping/Pong body
-bool decode_nonce(std::string_view body, std::uint64_t* nonce);
 
 /// Structural fingerprint of an evaluator: folds the base-program hash,
 /// the reference output and the workload count. Two evaluators with the

@@ -100,48 +100,10 @@ inline std::string encode_sample_record(std::uint64_t index, const Vec& x,
   return w.take();
 }
 
-class JournaledEvaluator final : public sim::Evaluator {
+class JournaledEvaluator final : public sim::ForwardingEvaluator {
  public:
   JournaledEvaluator(sim::Evaluator& inner, RunSession& session)
-      : inner_(inner), session_(session) {}
-
-  const ir::Program& base_program() const override {
-    return inner_.base_program();
-  }
-  const std::string& program_name() const override {
-    return inner_.program_name();
-  }
-  double o3_cycles() const override { return inner_.o3_cycles(); }
-  double o0_cycles() const override { return inner_.o0_cycles(); }
-  std::int64_t reference_output() const override {
-    return inner_.reference_output();
-  }
-  std::vector<std::pair<std::string, double>> hot_modules() const override {
-    return inner_.hot_modules();
-  }
-  sim::CompileOutcome compile(const sim::SequenceAssignment& seqs,
-                              bool keep_program = false) const override {
-    return inner_.compile(seqs, keep_program);
-  }
-  void prefetch(std::span<const sim::SequenceAssignment> batch,
-                bool with_measure = true) override {
-    inner_.prefetch(batch, with_measure);
-  }
-  bool is_quarantined(const sim::SequenceAssignment& seqs) const override {
-    return inner_.is_quarantined(seqs);
-  }
-  void set_fault_injector(const sim::FaultInjector* injector) override {
-    inner_.set_fault_injector(injector);
-  }
-  double total_compile_seconds() const override {
-    return inner_.total_compile_seconds();
-  }
-  double total_measure_seconds() const override {
-    return inner_.total_measure_seconds();
-  }
-  int num_compiles() const override { return inner_.num_compiles(); }
-  int num_measurements() const override { return inner_.num_measurements(); }
-  int num_cache_hits() const override { return inner_.num_cache_hits(); }
+      : ForwardingEvaluator(inner), session_(session) {}
 
   sim::EvalOutcome evaluate(const sim::SequenceAssignment& seqs) override {
     const std::uint64_t index = session_.next_index();
@@ -150,11 +112,7 @@ class JournaledEvaluator final : public sim::Evaluator {
     return out;
   }
 
-  sim::Evaluator& inner() { return inner_; }
-  RunSession& session() { return session_; }
-
  private:
-  sim::Evaluator& inner_;
   RunSession& session_;
 };
 

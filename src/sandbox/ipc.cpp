@@ -40,6 +40,36 @@ double monotonic_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
+std::uint64_t monotonic_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+void sleep_seconds(double s) {
+  if (s <= 0) return;
+  timespec ts;
+  ts.tv_sec = static_cast<time_t>(s);
+  ts.tv_nsec = static_cast<long>((s - static_cast<double>(ts.tv_sec)) * 1e9);
+  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
+  }
+}
+
+int keep_only_fd(int fd) {
+  constexpr int kKept = 3;
+  if (fd != kKept) {
+    ::dup2(fd, kKept);
+    ::close(fd);
+  }
+  if (::close_range(kKept + 1, ~0u, 0) != 0) {
+    // Kernels before 5.9 lack close_range: close up to the fd limit.
+    const long max_fd = ::sysconf(_SC_OPEN_MAX);
+    for (long i = kKept + 1; i < max_fd; ++i) ::close(static_cast<int>(i));
+  }
+  return kKept;
+}
+
 std::string encode_frame(std::string_view payload) {
   persist::Writer w;
   w.u32(static_cast<std::uint32_t>(payload.size()));
@@ -117,63 +147,23 @@ IoStatus write_frame(int fd, std::string_view payload) {
   return IoStatus::Ok;
 }
 
-bool FrameReader::pending() {
-  // A frame (or a poisoning corruption) already buffered means read()
-  // returns without touching the fd. Decoding is cheap and idempotent on
-  // NeedMore, but Ok consumes — so peek by decoding into a stash.
-  // FrameDecoder::next never returns Ok twice for the same bytes, so the
-  // stash lives here.
-  if (stashed_ || stashed_corrupt_) return true;
-  std::string p;
-  std::string err;
-  switch (decoder_.next(&p, &err)) {
-    case DecodeStatus::Ok:
-      stash_ = std::move(p);
-      stashed_ = true;
-      return true;
-    case DecodeStatus::Corrupt:
-      stashed_corrupt_ = true;
-      stash_error_ = err;
-      return true;
-    case DecodeStatus::NeedMore:
-      return false;
-  }
-  return false;
-}
-
 IoStatus FrameReader::read(std::string* payload, double timeout_seconds,
                            std::string* error) {
   const double deadline =
       timeout_seconds < 0 ? -1.0 : monotonic_seconds() + timeout_seconds;
   bool attempted_read = false;
   for (;;) {
-    if (stashed_) {
-      stashed_ = false;
-      *payload = std::move(stash_);
-      stash_.clear();
-      return IoStatus::Ok;
-    }
-    if (stashed_corrupt_) {
-      if (error) *error = stash_error_;
-      return IoStatus::Corrupt;
-    }
-    {
-      std::string err;
-      switch (decoder_.next(payload, &err)) {
-        case DecodeStatus::Ok:
-          return IoStatus::Ok;
-        case DecodeStatus::Corrupt:
-          stashed_corrupt_ = true;
-          stash_error_ = err;
-          if (error) *error = err;
-          return IoStatus::Corrupt;
-        case DecodeStatus::NeedMore:
-          break;
-      }
+    switch (decoder_.next(payload, error)) {
+      case DecodeStatus::Ok:
+        return IoStatus::Ok;
+      case DecodeStatus::Corrupt:
+        return IoStatus::Corrupt;  // the decoder stays poisoned
+      case DecodeStatus::NeedMore:
+        break;
     }
     // A zero/expired timeout still performs one non-blocking poll+read
     // pass, so read(.., 0.0) drains whatever the fd already holds (the
-    // supervisor's post-poll service path depends on this).
+    // remote engine's post-poll service path depends on this).
     int wait_ms = -1;
     if (deadline >= 0) {
       const double left = deadline - monotonic_seconds();

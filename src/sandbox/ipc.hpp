@@ -1,6 +1,6 @@
 #pragma once
-// CRC-framed length-prefixed pipe IPC between the sandbox supervisor and
-// its forked workers.
+// CRC-framed length-prefixed IPC on every lane (sandbox/remote.hpp): a
+// forked worker's socketpair or a peer's socket.
 //
 // Frame layout (all little-endian, mirroring the journal's record frame
 // in persist/journal.hpp):
@@ -9,14 +9,14 @@
 //
 // The decoder is incremental (`FrameDecoder`) so a reader can consume a
 // byte stream delivered in arbitrary chunks — and so property tests can
-// feed it torn, truncated and bit-flipped messages without a pipe in the
-// loop. A CRC or length-sanity failure is `Corrupt`, which the
-// supervisor treats exactly like a worker crash: kill, classify, respawn.
+// feed it torn, truncated and bit-flipped messages without a socket in the
+// loop. A CRC or length-sanity failure is `Corrupt`, which fails the
+// lane (the sandbox then classifies the worker's death like a crash).
 //
 // Blocking I/O helpers (`write_frame`, `FrameReader::read`) are
 // EINTR-safe and deadline-aware via poll(2). SIGPIPE must be ignored
-// process-wide (the supervisor and workers both do this at startup); a
-// peer that died mid-write then surfaces as EPIPE -> `Error`, not a
+// process-wide (the remote engine and every worker do this at startup);
+// a peer that died mid-write then surfaces as EPIPE -> `Error`, not a
 // process-killing signal.
 
 #include <cstddef>
@@ -72,7 +72,7 @@ class FrameDecoder {
 
 enum class IoStatus {
   Ok,
-  Eof,      ///< peer closed the pipe cleanly
+  Eof,      ///< the far end closed the stream cleanly
   Timeout,  ///< deadline expired before a full frame arrived
   Corrupt,  ///< framing-level corruption (see FrameDecoder)
   Error,    ///< errno-level failure (EPIPE, EBADF, ...)
@@ -83,7 +83,7 @@ const char* io_status_name(IoStatus s);
 /// Write one frame, retrying on EINTR and short writes. Blocking.
 IoStatus write_frame(int fd, std::string_view payload);
 
-/// Reader side of one pipe: owns the incremental decoder so bytes from a
+/// Reader side of one stream: owns the incremental decoder so bytes from a
 /// read that straddles frames are kept for the next call.
 class FrameReader {
  public:
@@ -96,20 +96,21 @@ class FrameReader {
   IoStatus read(std::string* payload, double timeout_seconds,
                 std::string* error = nullptr);
 
-  /// A complete frame (or a corruption verdict) is already buffered:
-  /// read() will return immediately without touching the fd.
-  bool pending();
-
  private:
   int fd_;
   FrameDecoder decoder_;
-  std::string stash_;        ///< frame decoded by pending(), not yet read()
-  bool stashed_ = false;
-  bool stashed_corrupt_ = false;
-  std::string stash_error_;
 };
 
 /// CLOCK_MONOTONIC now, in seconds (deadline arithmetic).
 double monotonic_seconds();
+/// CLOCK_MONOTONIC now, in nanoseconds (handshake clock offsets).
+std::uint64_t monotonic_ns();
+/// Sleep `s` seconds, resuming after signals; <= 0 returns at once.
+void sleep_seconds(double s);
+
+/// In a freshly forked child: move `fd` to descriptor 3 and close every
+/// other descriptor above stdio, so the child holds no end of any pipe,
+/// socket or listener the parent owns. Returns the new descriptor.
+int keep_only_fd(int fd);
 
 }  // namespace citroen::sandbox

@@ -61,6 +61,42 @@ ObsEventWire get_obs_event(persist::Reader& r) {
 
 }  // namespace
 
+std::string tag_message(PeerMsg tag, std::string_view body) {
+  std::string out;
+  out.reserve(1 + body.size());
+  out.push_back(static_cast<char>(tag));
+  out.append(body.data(), body.size());
+  return out;
+}
+
+bool untag_message(std::string_view payload, PeerMsg* tag,
+                   std::string_view* body) {
+  if (payload.empty()) return false;
+  const auto t = static_cast<std::uint8_t>(payload[0]);
+  if (t < static_cast<std::uint8_t>(PeerMsg::Hello) ||
+      t > static_cast<std::uint8_t>(PeerMsg::Pong))
+    return false;
+  *tag = static_cast<PeerMsg>(t);
+  *body = payload.substr(1);
+  return true;
+}
+
+std::string encode_nonce(std::uint64_t nonce) {
+  persist::Writer w;
+  w.u64(nonce);
+  return w.take();
+}
+
+bool decode_nonce(std::string_view body, std::uint64_t* nonce) {
+  try {
+    persist::Reader r(body.data(), body.size());
+    *nonce = r.u64();
+    return r.at_end();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 std::string encode_job(const SandboxJob& job) {
   persist::Writer w;
   w.u8(static_cast<std::uint8_t>(job.kind));

@@ -1,17 +1,29 @@
 #pragma once
-// Wire protocol between the sandbox supervisor and its workers, layered
-// on the ipc.hpp frame transport. Payloads use the persist codec, so the
-// doubles inside interpreter runs cross the process boundary bit-exactly
-// — a prerequisite for the sandbox's byte-identity guarantee.
+// Wire protocol of every lane (sandbox/remote.hpp): a forked worker's
+// socketpair and a peer's socket carry the same messages, layered on the
+// ipc.hpp frame transport. Each frame payload starts with a one-byte tag:
 //
-// Job frame (supervisor -> worker):
+//   frame payload := [u8 PeerMsg][body]
+//
+//   Job    (engine -> worker): encode_job bytes.
+//   Result (worker -> engine): encode_result bytes.
+//   Ping   (engine -> worker): u64 nonce. Heartbeat liveness probe.
+//   Pong   (worker -> engine): u64 nonce echo.
+//   Hello / HelloOk / HelloErr: the socket peers' handshake
+//          (dist/wire.hpp); forked workers need none.
+//
+// Payloads use the persist codec, so the doubles inside interpreter runs
+// cross the process boundary bit-exactly — a prerequisite for the
+// byte-identity guarantee.
+//
+// Job body (engine -> worker):
 //   u8  kind          (JobKind)
-//   u64 id            (monotonic per supervisor; echoed in the result)
+//   u64 id            (monotonic per engine; echoed in the result)
 //   u8  has_plan      (fault plan attached?)
 //   [FaultPlan]       (when has_plan)
 //   SequenceAssignment
 //
-// Result frame (worker -> supervisor):
+// Result body (worker -> engine):
 //   u8  status        (ResultStatus)
 //   u64 id
 //   u8  built
@@ -40,6 +52,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,6 +61,28 @@
 #include "sim/faults.hpp"
 
 namespace citroen::sandbox {
+
+enum class PeerMsg : std::uint8_t {
+  Hello = 1,
+  HelloOk = 2,
+  HelloErr = 3,
+  Job = 4,
+  Result = 5,
+  Ping = 6,
+  Pong = 7,
+};
+
+/// Prefix `body` with the message tag (the result goes inside one CRC
+/// frame, i.e. `write_frame(fd, tag_message(...))`).
+std::string tag_message(PeerMsg tag, std::string_view body);
+
+/// Split a received frame payload into tag + body. False when empty or
+/// the tag byte is out of range — protocol corruption, lane-fatal.
+bool untag_message(std::string_view payload, PeerMsg* tag,
+                   std::string_view* body);
+
+std::string encode_nonce(std::uint64_t nonce);  ///< Ping/Pong body
+bool decode_nonce(std::string_view body, std::uint64_t* nonce);
 
 enum class JobKind : std::uint8_t {
   Evaluate = 1,  ///< build + measure (full pure evaluation)
@@ -104,9 +139,8 @@ bool decode_result(const std::string& payload, SandboxResult* res,
                    std::string* error);
 
 // ---- obs appendix helpers -------------------------------------------------
-// Shared by every process pair that ships obs state over a Result frame:
-// sandbox supervisor <- worker, and dist pool <- peer (which reuses the
-// same SandboxResult codec).
+// Shared by every lane that ships obs state over a Result frame: sandbox
+// supervisor <- worker, and dist pool <- peer.
 
 /// Record current counter values as the delta baseline. Child processes
 /// call this once after fork/startup so the first result frame ships

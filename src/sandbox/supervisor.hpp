@@ -5,7 +5,7 @@
 // of forked workers. Every candidate is first *vetted*: a worker
 // executes the pure part of the evaluation (build + interpret,
 // `ProgramEvaluator::pure_evaluate`) in its own address space, behind
-// CRC-framed pipe IPC, rlimit caps and a wall-clock deadline. Then:
+// CRC-framed socketpair IPC, rlimit caps and a wall-clock deadline. Then:
 //
 //   - If the worker survives, the supervisor replays the normal
 //     in-process path (`base.evaluate`/`base.compile`), with the
@@ -23,66 +23,37 @@
 //     path. The RobustEvaluator layered on top quarantines it like any
 //     other deterministic failure.
 //
-// Workers are respawned with exponential backoff; a run of
-// `breaker_threshold` consecutive deaths trips a circuit breaker that
-// permanently degrades this evaluator to the plain in-process path
-// (correct, merely uncontained — the bottom rung of the degradation
-// ladder documented in DESIGN.md).
+// Each worker is one lane of a `RemoteEngine` (sandbox/remote.hpp),
+// which owns dispatch, deadlines and respawn backoff; this class keeps
+// only the sandbox's policy: fork the lane, blame the candidate a lane
+// dies on, and run a pool-wide circuit breaker — `breaker_threshold`
+// consecutive deaths across all workers permanently degrade this
+// evaluator to the plain in-process path (correct, merely uncontained —
+// the bottom rung of the degradation ladder documented in DESIGN.md).
 //
 // Not thread-safe: one SandboxedEvaluator belongs to one run thread,
 // like the ProgramEvaluator it wraps.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "sandbox/ipc.hpp"
+#include <sys/types.h>
+
 #include "sandbox/protocol.hpp"
+#include "sandbox/remote.hpp"
 #include "sandbox/worker.hpp"
 #include "sim/evaluator.hpp"
 
 namespace citroen::sandbox {
 
-struct SandboxConfig {
+struct SandboxConfig : RemoteConfig {
   /// Worker-pool size. <= 0 reads CITROEN_SANDBOX_WORKERS (default 2),
   /// clamped to [1, 16]: workers overlap with CITROEN_THREADS tuner
   /// threads, each of which owns its own pool.
   int workers = 0;
-  /// Wall-clock deadline per job; past it the worker is SIGKILLed and
-  /// the job classified WorkerTimeout. <= 0 disables.
-  double job_wall_timeout_seconds = 30.0;
-  WorkerLimits limits;  ///< per-worker rlimit caps (CPU budget, memory)
-  /// Consecutive worker deaths that trip the circuit breaker.
-  int breaker_threshold = 3;
-  double respawn_backoff_seconds = 0.05;     ///< first respawn delay
-  double respawn_backoff_max_seconds = 1.0;  ///< backoff ceiling
-  /// Each respawn delay is scaled by a uniform factor in
-  /// [1 - jitter, 1 + jitter] so N supervisors (e.g. the serving
-  /// daemon's concurrent jobs) don't respawn workers in lockstep after a
-  /// correlated crash — a thundering herd on a one-core box. 0 disables.
-  double respawn_jitter = 0.5;
-  /// Seed for the jitter stream; 0 derives one from the supervisor pid
-  /// and the evaluator's address, so sibling supervisors decorrelate
-  /// even inside one process. Results never depend on this (jitter only
-  /// stretches sleeps).
-  std::uint64_t respawn_jitter_seed = 0;
-  /// Recycle a worker after this many jobs (0 = never): leak hygiene on
-  /// long soak runs without perturbing results.
-  std::uint64_t max_jobs_per_worker = 0;
-  /// TEST HOOK: SIGKILL the assigned worker right after dispatching the
-  /// job with this id (-1 = never). Exercises the external-kill path the
-  /// ext_sandbox_containment gate asserts on.
-  std::int64_t kill_job_id = -1;
 };
-
-/// `base_seconds` scaled by a uniform factor in [1 - jitter, 1 + jitter]
-/// drawn from the splitmix64 stream `state` (jitter clamped to [0, 1]).
-/// The respawn path uses this; exposed as a free function so the
-/// anti-thundering-herd property is unit-testable without sleeping.
-double jittered_backoff(double base_seconds, double jitter,
-                        std::uint64_t* state);
 
 struct SandboxStats {
   std::uint64_t forks = 0;            ///< workers spawned (incl. respawns)
@@ -96,7 +67,7 @@ struct SandboxStats {
   std::uint64_t breaker_trips = 0;
 };
 
-class SandboxedEvaluator final : public sim::Evaluator {
+class SandboxedEvaluator final : public sim::ForwardingEvaluator {
  public:
   explicit SandboxedEvaluator(sim::ProgramEvaluator& base,
                               SandboxConfig config = {});
@@ -104,24 +75,6 @@ class SandboxedEvaluator final : public sim::Evaluator {
 
   SandboxedEvaluator(const SandboxedEvaluator&) = delete;
   SandboxedEvaluator& operator=(const SandboxedEvaluator&) = delete;
-
-  const ir::Program& base_program() const override {
-    return base_.base_program();
-  }
-  const std::string& program_name() const override {
-    return base_.program_name();
-  }
-  double o3_cycles() const override { return base_.o3_cycles(); }
-  double o0_cycles() const override { return base_.o0_cycles(); }
-  std::int64_t reference_output() const override {
-    return base_.reference_output();
-  }
-  std::vector<std::pair<std::string, double>> hot_modules() const override {
-    return base_.hot_modules();
-  }
-  bool is_quarantined(const sim::SequenceAssignment& seqs) const override {
-    return base_.is_quarantined(seqs);
-  }
 
   /// Records the injector for job frames (workers re-derive real-fault
   /// decisions from the plan, purely) and forwards it to the base.
@@ -137,32 +90,11 @@ class SandboxedEvaluator final : public sim::Evaluator {
   void prefetch(std::span<const sim::SequenceAssignment> batch,
                 bool with_measure = true) override;
 
-  double total_compile_seconds() const override {
-    return base_.total_compile_seconds();
-  }
-  double total_measure_seconds() const override {
-    return base_.total_measure_seconds();
-  }
-  int num_compiles() const override { return base_.num_compiles(); }
-  int num_measurements() const override { return base_.num_measurements(); }
-  int num_cache_hits() const override { return base_.num_cache_hits(); }
-
-  const SandboxStats& sandbox_stats() const { return stats_; }
+  SandboxStats sandbox_stats() const;
   /// Breaker tripped: everything now runs in-process, uncontained.
   bool degraded() const { return tripped_; }
-  int worker_count() const { return config_.workers; }
 
  private:
-  struct Worker {
-    pid_t pid = -1;
-    int job_fd = -1;     ///< supervisor write end
-    int result_fd = -1;  ///< supervisor read end
-    ProgressCell* cell = nullptr;
-    std::unique_ptr<FrameReader> reader;
-    std::uint64_t jobs_done = 0;
-    bool alive = false;
-  };
-
   /// What the sandbox learned about a candidate signature. Fatal
   /// verdicts (kind != None) apply to compile and evaluate alike; an Ok
   /// verdict covers evaluate() only when `measured` (the vetting job
@@ -173,40 +105,44 @@ class SandboxedEvaluator final : public sim::Evaluator {
     std::string why;
   };
 
-  bool spawn_worker(std::size_t slot) const;
-  void destroy_worker(Worker& w, bool kill) const;
-  /// Reap a dead worker, classify its in-flight candidate (if any) and
-  /// apply the respawn/breaker policy. `timed_out` marks a
-  /// supervisor-initiated deadline kill.
-  void handle_death(std::size_t slot, std::uint64_t sig, bool in_flight,
-                    bool timed_out, const std::string& extra) const;
-  std::string progress_signature(const Worker& w) const;
+  /// Engine hooks: fork a worker onto lane `slot`; take a result; blame
+  /// (or retry) the job of a lane that died.
+  LaneFault spawn_worker(std::size_t slot, Lane& lane) const;
+  void on_result(std::size_t job, SandboxResult& res) const;
+  bool on_failure(const LaneFailure& f) const;
+
+  /// SIGKILL and reap the worker on `slot` (if live); returns its status.
+  int reap(std::size_t slot) const;
+  std::string progress_signature(std::size_t slot) const;
   /// Insert into the verdict memo under the size cap: on overflow only
   /// vetted-Ok entries are shed — fatal verdicts stay authoritative for
   /// the life of the run (see compile()).
   void remember_verdict(std::uint64_t sig, Verdict v) const;
-  void record_result(const SandboxResult& res, std::uint64_t sig,
-                     bool with_measure) const;
   const Verdict* find_verdict(std::uint64_t sig, bool need_measured) const;
+  /// The fatal verdict for `seqs`, vetting it first when none is known.
+  const Verdict* fatal_verdict(const sim::SequenceAssignment& seqs,
+                               bool with_measure) const;
   /// Vet every candidate in `batch` that lacks a (sufficient) verdict.
-  void run_jobs(std::span<const sim::SequenceAssignment> batch,
-                bool with_measure) const;
+  void vet(std::span<const sim::SequenceAssignment> batch,
+           bool with_measure) const;
   void trip_breaker(const char* why) const;
 
   sim::ProgramEvaluator& base_;
   SandboxConfig config_;
   const sim::FaultInjector* injector_ = nullptr;
 
-  // Dispatch state is logically part of a const vetting query
-  // (compile() is const in the Evaluator interface), hence mutable.
-  mutable std::vector<Worker> workers_;
+  // Vetting state is logically part of a const query (compile() is const
+  // in the Evaluator interface), hence mutable.
+  mutable RemoteEngine engine_;
+  /// Per lane: live worker pid, 0 once reaped, -1 before the first fork.
+  mutable std::vector<pid_t> pids_;
+  mutable std::vector<ProgressCell*> cells_;  ///< per-lane crash signature
+  mutable std::vector<std::uint64_t> batch_sigs_;  ///< the batch being vetted
+  mutable bool batch_measured_ = false;
   mutable std::unordered_map<std::uint64_t, Verdict> verdicts_;
   mutable SandboxStats stats_;
-  mutable std::uint64_t next_job_id_ = 0;
-  mutable std::uint64_t jitter_state_ = 0;  ///< splitmix64 jitter stream
-  mutable int consecutive_deaths_ = 0;
+  mutable int consecutive_deaths_ = 0;  ///< across all workers
   mutable bool tripped_ = false;
-  mutable bool spawned_once_ = false;
 };
 
 }  // namespace citroen::sandbox

@@ -47,6 +47,7 @@ void pass_progress_hook(passes::PassId id) {
   set_progress(WorkerStage::Build, static_cast<std::uint16_t>(id));
 }
 
+#if !defined(CITROEN_ASAN)
 std::size_t current_vm_bytes() {
   std::FILE* f = std::fopen("/proc/self/statm", "r");
   if (!f) return 0;
@@ -57,20 +58,17 @@ std::size_t current_vm_bytes() {
   return static_cast<std::size_t>(pages) *
          static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
+#endif
 
-void apply_startup_limits(const WorkerLimits& limits) {
+void apply_startup_limits() {
   // A crashing worker is routine here; dumping core for every injected
   // SIGSEGV would be pure noise (and disk churn) in soak runs.
   rlimit core{0, 0};
   ::setrlimit(RLIMIT_CORE, &core);
 #if !defined(CITROEN_ASAN)
-  if (limits.mem_headroom_bytes > 0) {
-    const std::size_t cap = current_vm_bytes() + limits.mem_headroom_bytes;
-    rlimit mem{cap, cap};
-    ::setrlimit(RLIMIT_AS, &mem);
-  }
-#else
-  (void)limits;
+  const std::size_t cap = current_vm_bytes() + kWorkerMemHeadroomBytes;
+  rlimit mem{cap, cap};
+  ::setrlimit(RLIMIT_AS, &mem);
 #endif
 }
 
@@ -162,8 +160,73 @@ void maybe_trigger_real_fault(const SandboxJob& job) {
 
 }  // namespace
 
-void worker_serve(sim::ProgramEvaluator& eval, int job_fd, int result_fd,
-                  ProgressCell* progress, const WorkerLimits& limits) {
+bool serve_jobs(int fd, JobLoop& loop) {
+  FrameReader reader(fd);
+  for (;;) {
+    std::string payload;
+    const auto st = reader.read(&payload, loop.read_timeout_seconds);
+    if (st == IoStatus::Eof) return true;
+    if (st != IoStatus::Ok) return false;
+
+    PeerMsg tag;
+    std::string_view body;
+    if (!untag_message(payload, &tag, &body)) return false;
+    if (tag == PeerMsg::Ping) {
+      if (write_frame(fd, tag_message(PeerMsg::Pong, body)) != IoStatus::Ok)
+        return false;
+      continue;
+    }
+    if (tag == PeerMsg::Hello && loop.on_hello) {
+      loop.eval = loop.on_hello(body, fd);
+      if (!loop.eval) return false;
+      continue;
+    }
+    // A job before any evaluator, or HelloOk/Result/Pong sent to a
+    // worker: the other end is confused.
+    if (tag != PeerMsg::Job || !loop.eval) return false;
+
+    SandboxJob job;
+    std::string err;
+    if (!decode_job(std::string(body), &job, &err)) return false;
+    if (loop.begin_job && !loop.begin_job(job)) return false;
+
+    g_job_id = job.id;
+    set_progress(WorkerStage::Build, 0);
+    apply_job_cpu_limit(loop.job_cpu_seconds);
+
+    SandboxResult res;
+    res.id = job.id;
+    try {
+      maybe_trigger_real_fault(job);
+      res.pure = loop.eval->pure_evaluate(
+          job.assignment, /*with_measure=*/job.kind == JobKind::Evaluate);
+      // pure_evaluate interleaves build and measure internally; the
+      // stage marker only needs to be truthful at crash granularity.
+      if (job.kind == JobKind::Evaluate)
+        set_progress(WorkerStage::Measure, 0);
+      res.status = ResultStatus::Ok;
+    } catch (const std::bad_alloc&) {
+      // The hoard (or the evaluation's own allocations) unwound when the
+      // exception propagated, so the worker is healthy again and stays up.
+      res.status = ResultStatus::Oom;
+      res.pure = sim::PureEvalResult{};
+    } catch (...) {
+      return false;
+    }
+    if (loop.end_job) loop.end_job(job);
+
+    set_progress(WorkerStage::Reply, 0);
+    // Ship this job's trace events + counter deltas home on the result.
+    collect_obs_deltas(&res);
+    if (write_frame(fd, tag_message(PeerMsg::Result, encode_result(res))) !=
+        IoStatus::Ok)
+      return false;
+    set_progress(WorkerStage::Idle, 0);
+  }
+}
+
+void worker_main(sim::ProgramEvaluator& eval, int fd,
+                 ProgressCell* progress) {
   // Detach everything shared with the supervisor. The shared prefix
   // cache's shard mutexes may have been held by pool threads at fork
   // time (those threads do not exist in this process), so the child must
@@ -189,53 +252,14 @@ void worker_serve(sim::ProgramEvaluator& eval, int job_fd, int result_fd,
   ::signal(SIGINT, SIG_IGN);   // terminal ^C noise is the supervisor's call
   ::signal(SIGTERM, SIG_DFL);  // inherited watchdog handler is meaningless
 
-  apply_startup_limits(limits);
+  apply_startup_limits();
   g_cell = progress;
   sim::set_pass_progress_hook(&pass_progress_hook);
 
-  FrameReader reader(job_fd);
-  for (;;) {
-    std::string payload;
-    const auto st = reader.read(&payload, /*timeout_seconds=*/-1.0);
-    if (st == IoStatus::Eof) ::_exit(kWorkerExitClean);
-    if (st != IoStatus::Ok) ::_exit(kWorkerExitProtocol);
-
-    SandboxJob job;
-    std::string err;
-    if (!decode_job(payload, &job, &err)) ::_exit(kWorkerExitProtocol);
-
-    g_job_id = job.id;
-    set_progress(WorkerStage::Build, 0);
-    apply_job_cpu_limit(limits.job_cpu_seconds);
-
-    SandboxResult res;
-    res.id = job.id;
-    try {
-      maybe_trigger_real_fault(job);
-      if (job.kind == JobKind::Evaluate) {
-        res.pure = eval.pure_evaluate(job.assignment, /*with_measure=*/true);
-        // pure_evaluate interleaves build and measure internally; the
-        // stage marker only needs to be truthful at crash granularity.
-        set_progress(WorkerStage::Measure, 0);
-      } else {
-        res.pure = eval.pure_evaluate(job.assignment, /*with_measure=*/false);
-      }
-      res.status = ResultStatus::Ok;
-    } catch (const std::bad_alloc&) {
-      // The hoard (or the evaluation's own allocations) unwound when the
-      // exception propagated, so the worker is healthy again and stays up.
-      res.status = ResultStatus::Oom;
-      res.pure = sim::PureEvalResult{};
-    } catch (...) {
-      ::_exit(kWorkerExitProtocol);
-    }
-
-    set_progress(WorkerStage::Reply, 0);
-    collect_obs_deltas(&res);
-    if (write_frame(result_fd, encode_result(res)) != IoStatus::Ok)
-      ::_exit(kWorkerExitProtocol);
-    set_progress(WorkerStage::Idle, 0);
-  }
+  JobLoop loop;
+  loop.eval = &eval;
+  loop.job_cpu_seconds = kWorkerJobCpuSeconds;
+  ::_exit(serve_jobs(fd, loop) ? kWorkerExitClean : kWorkerExitProtocol);
 }
 
 }  // namespace citroen::sandbox

@@ -2,12 +2,10 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 
@@ -16,10 +14,8 @@
 namespace citroen::serve {
 
 Client::Client(ClientConfig config) : config_(std::move(config)) {
-  jitter_state_ = config_.jitter_seed != 0
-                      ? config_.jitter_seed
-                      : (static_cast<std::uint64_t>(::getpid()) << 32) ^
-                            reinterpret_cast<std::uintptr_t>(this);
+  jitter_state_ = config_.jitter_seed != 0 ? config_.jitter_seed
+                                            : support::jitter_seed_for(this);
   std::signal(SIGPIPE, SIG_IGN);  // daemon death mid-write -> EPIPE, not kill
 }
 
@@ -37,15 +33,6 @@ double Client::backoff_delay(int attempt) {
   return support::full_jitter_backoff(attempt, config_.backoff_initial_seconds,
                                       config_.backoff_max_seconds,
                                       &jitter_state_);
-}
-
-void Client::sleep_seconds(double s) {
-  if (s <= 0) return;
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(s);
-  ts.tv_nsec = static_cast<long>((s - std::floor(s)) * 1e9);
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
 }
 
 bool Client::connect_once(std::string* why) {
@@ -117,7 +104,7 @@ bool Client::connect() {
       error_ = "connect to " + config_.socket_path + " failed: " + why;
       return false;
     }
-    sleep_seconds(delay);
+    sandbox::sleep_seconds(delay);
   }
 }
 
@@ -184,7 +171,7 @@ std::optional<std::uint64_t> Client::submit(const JobSpec& spec,
           }
           error_ = rej.message;
           // Honor the daemon's hint, jittered, floored by our own backoff.
-          sleep_seconds(
+          sandbox::sleep_seconds(
               std::max(rej.retry_after_seconds, backoff_delay(attempt)));
           if (sandbox::monotonic_seconds() >= deadline) return std::nullopt;
           continue;
@@ -198,7 +185,7 @@ std::optional<std::uint64_t> Client::submit(const JobSpec& spec,
     }
     const double delay = backoff_delay(attempt);
     if (sandbox::monotonic_seconds() + delay >= deadline) return std::nullopt;
-    sleep_seconds(delay);
+    sandbox::sleep_seconds(delay);
   }
 }
 
@@ -225,7 +212,7 @@ JobOutcome Client::wait_result(
       m.job_id = job_id;
       if (!send_frame(encode(m))) {
         disconnect();
-        sleep_seconds(backoff_delay(attempt++));
+        sandbox::sleep_seconds(backoff_delay(attempt++));
         continue;
       }
       attached = true;
@@ -240,7 +227,7 @@ JobOutcome Client::wait_result(
       // Daemon restarting (crash-resume) or connection torn: retry with
       // backoff and re-attach by id against the new incarnation.
       disconnect();
-      sleep_seconds(backoff_delay(attempt++));
+      sandbox::sleep_seconds(backoff_delay(attempt++));
       continue;
     }
     attempt = 0;

@@ -94,7 +94,6 @@ class Client {
   sandbox::IoStatus read_frame(std::string* payload, double timeout_seconds);
   /// Exponential backoff with full jitter; attempt counts from 0.
   double backoff_delay(int attempt);
-  void sleep_seconds(double s);
 
   ClientConfig config_;
   int fd_ = -1;

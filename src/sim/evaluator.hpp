@@ -203,6 +203,57 @@ class Evaluator {
   virtual int num_cache_hits() const = 0;
 };
 
+/// Base for decorators: forwards every `Evaluator` call to `inner`, so a
+/// decorator overrides only the calls its policy changes.
+class ForwardingEvaluator : public Evaluator {
+ public:
+  explicit ForwardingEvaluator(Evaluator& inner) : inner_(inner) {}
+
+  const ir::Program& base_program() const override {
+    return inner_.base_program();
+  }
+  const std::string& program_name() const override {
+    return inner_.program_name();
+  }
+  double o3_cycles() const override { return inner_.o3_cycles(); }
+  double o0_cycles() const override { return inner_.o0_cycles(); }
+  std::int64_t reference_output() const override {
+    return inner_.reference_output();
+  }
+  std::vector<std::pair<std::string, double>> hot_modules() const override {
+    return inner_.hot_modules();
+  }
+  CompileOutcome compile(const SequenceAssignment& seqs,
+                         bool keep_program = false) const override {
+    return inner_.compile(seqs, keep_program);
+  }
+  EvalOutcome evaluate(const SequenceAssignment& seqs) override {
+    return inner_.evaluate(seqs);
+  }
+  void prefetch(std::span<const SequenceAssignment> batch,
+                bool with_measure = true) override {
+    inner_.prefetch(batch, with_measure);
+  }
+  bool is_quarantined(const SequenceAssignment& seqs) const override {
+    return inner_.is_quarantined(seqs);
+  }
+  void set_fault_injector(const FaultInjector* injector) override {
+    inner_.set_fault_injector(injector);
+  }
+  double total_compile_seconds() const override {
+    return inner_.total_compile_seconds();
+  }
+  double total_measure_seconds() const override {
+    return inner_.total_measure_seconds();
+  }
+  int num_compiles() const override { return inner_.num_compiles(); }
+  int num_measurements() const override { return inner_.num_measurements(); }
+  int num_cache_hits() const override { return inner_.num_cache_hits(); }
+
+ protected:
+  Evaluator& inner_;
+};
+
 class ProgramEvaluator : public Evaluator {
  public:
   /// `base` must be the unoptimised (-O0 style) program. `limits` bounds

@@ -71,19 +71,19 @@ void QuarantineSet::load(persist::Reader& r) {
 
 RobustEvaluator::RobustEvaluator(Evaluator& base, RobustConfig config,
                                  const FaultInjector* injector)
-    : base_(base), config_(config), injector_(injector),
+    : ForwardingEvaluator(base), config_(config), injector_(injector),
       quarantine_(config.quarantine_cap) {
-  base_.set_fault_injector(injector_);
+  inner_.set_fault_injector(injector_);
 }
 
-RobustEvaluator::~RobustEvaluator() { base_.set_fault_injector(nullptr); }
+RobustEvaluator::~RobustEvaluator() { inner_.set_fault_injector(nullptr); }
 
 CompileOutcome RobustEvaluator::compile(const SequenceAssignment& seqs,
                                         bool keep_program) const {
-  CompileOutcome co = base_.compile(seqs, keep_program);
+  CompileOutcome co = inner_.compile(seqs, keep_program);
   for (int r = 0; r < config_.max_retries && !co.valid && co.transient; ++r) {
     ++stats_.retries;
-    co = base_.compile(seqs, keep_program);
+    co = inner_.compile(seqs, keep_program);
   }
   return co;
 }
@@ -103,7 +103,7 @@ void RobustEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   live.reserve(batch.size());
   for (const auto& seqs : batch)
     if (!is_quarantined(seqs)) live.push_back(seqs);
-  base_.prefetch(live, with_measure);
+  inner_.prefetch(live, with_measure);
 }
 
 double RobustEvaluator::aggregate(std::vector<double>& samples) const {
@@ -154,7 +154,7 @@ EvalOutcome RobustEvaluator::evaluate(const SequenceAssignment& seqs) {
   // would back off before re-submitting; in the deterministic sim the
   // backoff has no one to yield to, but every attempt is still charged.
   for (;;) {
-    out = base_.evaluate(seqs);
+    out = inner_.evaluate(seqs);
     ++stats_.attempts;
     if (out.valid || !out.transient || attempt >= config_.max_retries) break;
     ++attempt;

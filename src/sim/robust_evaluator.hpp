@@ -103,7 +103,7 @@ struct RobustStats {
   std::map<std::string, int> failures;
 };
 
-class RobustEvaluator : public Evaluator {
+class RobustEvaluator : public ForwardingEvaluator {
  public:
   /// `injector` may be nullptr (no faults); it must outlive this object.
   /// The injector is attached through `base` (decorators forward it to
@@ -111,21 +111,6 @@ class RobustEvaluator : public Evaluator {
   RobustEvaluator(Evaluator& base, RobustConfig config = {},
                   const FaultInjector* injector = nullptr);
   ~RobustEvaluator() override;
-
-  const ir::Program& base_program() const override {
-    return base_.base_program();
-  }
-  const std::string& program_name() const override {
-    return base_.program_name();
-  }
-  double o3_cycles() const override { return base_.o3_cycles(); }
-  double o0_cycles() const override { return base_.o0_cycles(); }
-  std::int64_t reference_output() const override {
-    return base_.reference_output();
-  }
-  std::vector<std::pair<std::string, double>> hot_modules() const override {
-    return base_.hot_modules();
-  }
 
   CompileOutcome compile(const SequenceAssignment& seqs,
                          bool keep_program = false) const override;
@@ -153,21 +138,10 @@ class RobustEvaluator : public Evaluator {
   void save_state(persist::Writer& w) const;
   void load_state(persist::Reader& r);
 
-  double total_compile_seconds() const override {
-    return base_.total_compile_seconds();
-  }
-  double total_measure_seconds() const override {
-    return base_.total_measure_seconds();
-  }
-  int num_compiles() const override { return base_.num_compiles(); }
-  int num_measurements() const override { return base_.num_measurements(); }
-  int num_cache_hits() const override { return base_.num_cache_hits(); }
-
  private:
   double aggregate(std::vector<double>& samples) const;
   double dispersion(std::vector<double> samples) const;
 
-  Evaluator& base_;
   RobustConfig config_;
   const FaultInjector* injector_;
   QuarantineSet quarantine_;

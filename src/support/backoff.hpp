@@ -1,19 +1,27 @@
 #pragma once
 // Shared retry/backoff arithmetic.
 //
-// Three independent subsystems sleep-and-retry against correlated
-// failure: the sandbox supervisor respawning dead workers, the serving
-// client resubmitting after daemon restarts, and the dist pool
-// reconnecting to lost peers. Each used to carry its own splitmix64 +
-// jitter formula; this header is the single unit-tested implementation
-// all of them draw from. Results never depend on these values — jitter
+// Two subsystems sleep-and-retry against correlated failure: the remote
+// engine reopening failed lanes (sandbox workers, dist peers) and the
+// serving client resubmitting after daemon restarts. This header is the
+// single unit-tested implementation both draw from. Results never depend on these values — jitter
 // only stretches sleeps — so the stream seed is free to differ per site.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 namespace citroen::support {
+
+/// Jitter-stream seed distinct per process and per `owner` object, so
+/// sibling retriers (one per tuner thread or daemon job) never sleep in
+/// lockstep.
+inline std::uint64_t jitter_seed_for(const void* owner) {
+  return (static_cast<std::uint64_t>(::getpid()) << 32) ^
+         reinterpret_cast<std::uintptr_t>(owner);
+}
 
 /// Deterministic 64-bit mixer (Vigna's splitmix64). Advances `state`.
 inline std::uint64_t splitmix64(std::uint64_t& state) {
@@ -51,8 +59,8 @@ inline double full_jitter_backoff(int attempt, double initial_seconds,
   return cap * (0.1 + 0.9 * uniform_unit(state));
 }
 
-/// Fixed-ratio exponential ladder with proportional jitter — the
-/// supervisor/peer respawn schedule: delay for the k-th consecutive
+/// Fixed-ratio exponential ladder with proportional jitter — the remote
+/// engine's lane reopen schedule: delay for the k-th consecutive
 /// failure (k >= 1) is min(max, base * 2^(k-1)) stretched by
 /// jittered_backoff.
 inline double respawn_backoff(int consecutive_failures, double base_seconds,

@@ -41,6 +41,27 @@ TEST(Citroen, BeatsO3OnTelecomGsm) {
   EXPECT_GT(r.compiles, 40);
 }
 
+TEST(Citroen, ReportedBestRebuildsToReportedSpeedup) {
+  // Nothing in this run beats -O3, so the best candidate measured is
+  // slower than -O3: the reported assignment must be that candidate,
+  // not the -O3 fallback, or it rebuilds to a different speedup.
+  sim::ProgramEvaluator eval(bench_suite::make_program("security_sha"),
+                             sim::machine_by_name("arm"));
+  core::CitroenConfig cfg;
+  cfg.budget = 30;
+  cfg.initial_random = 5;
+  cfg.gp.fit_steps = 6;
+  cfg.seed = 3;
+  const auto r = core::CitroenTuner(eval, cfg).run();
+  ASSERT_GT(r.best_speedup, 0.0);
+
+  sim::ProgramEvaluator fresh(bench_suite::make_program("security_sha"),
+                              sim::machine_by_name("arm"));
+  const auto out = fresh.evaluate(r.best_assignment);
+  ASSERT_TRUE(out.valid) << out.why_invalid;
+  EXPECT_NEAR(out.speedup, r.best_speedup, 1e-12 * r.best_speedup);
+}
+
 TEST(Citroen, TunesSelectedHotModules) {
   auto eval = make_eval("telecom_gsm");
   core::CitroenTuner tuner(eval, small_config(10));

@@ -6,14 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -80,20 +83,20 @@ sim::SequenceAssignment candidate(int i) {
 // ---- wire codec ------------------------------------------------------------
 
 TEST(DistWire, TagUntagRoundTrips) {
-  const std::string payload = dist::tag_message(dist::PeerMsg::Job, "body!");
-  dist::PeerMsg tag{};
+  const std::string payload = sandbox::tag_message(sandbox::PeerMsg::Job, "body!");
+  sandbox::PeerMsg tag{};
   std::string_view body;
-  ASSERT_TRUE(dist::untag_message(payload, &tag, &body));
-  EXPECT_EQ(tag, dist::PeerMsg::Job);
+  ASSERT_TRUE(sandbox::untag_message(payload, &tag, &body));
+  EXPECT_EQ(tag, sandbox::PeerMsg::Job);
   EXPECT_EQ(body, "body!");
 }
 
 TEST(DistWire, UntagRejectsEmptyAndOutOfRangeTags) {
-  dist::PeerMsg tag{};
+  sandbox::PeerMsg tag{};
   std::string_view body;
-  EXPECT_FALSE(dist::untag_message("", &tag, &body));
-  EXPECT_FALSE(dist::untag_message(std::string(1, '\0'), &tag, &body));
-  EXPECT_FALSE(dist::untag_message(std::string(1, '\x7f') + "rest", &tag,
+  EXPECT_FALSE(sandbox::untag_message("", &tag, &body));
+  EXPECT_FALSE(sandbox::untag_message(std::string(1, '\0'), &tag, &body));
+  EXPECT_FALSE(sandbox::untag_message(std::string(1, '\x7f') + "rest", &tag,
                                    &body));
 }
 
@@ -144,7 +147,7 @@ TEST(DistWire, HelloOkHelloErrNonceRoundTrip) {
   EXPECT_EQ(reason, "bad version");
 
   std::uint64_t nonce = 0;
-  ASSERT_TRUE(dist::decode_nonce(dist::encode_nonce(777), &nonce));
+  ASSERT_TRUE(sandbox::decode_nonce(sandbox::encode_nonce(777), &nonce));
   EXPECT_EQ(nonce, 777u);
 }
 
@@ -220,7 +223,7 @@ TEST(DistEvaluator, BrownoutFallsBackToLocalStack) {
   cfg.peers = {bogus};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 0.1;
-  cfg.reconnect_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   cfg.breaker_threshold = 1;
   dist::DistEvaluator pool(bottom, bottom, cfg);
 
@@ -230,6 +233,71 @@ TEST(DistEvaluator, BrownoutFallsBackToLocalStack) {
   EXPECT_TRUE(pool.degraded());
   EXPECT_EQ(pool.dist_stats().jobs_ok, 0u);
   EXPECT_GE(pool.dist_stats().local_fallback, 1u);
+}
+
+TEST(DistEvaluator, FullBacklogCostsAConnectTimeoutNotAHang) {
+  // A Unix listener that never accepts, with its backlog already full: a
+  // blocking connect() to it would wait forever.
+  const std::string path = "/tmp/citroen_test_dist_full_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 0), 0);
+  std::vector<int> fillers;
+  bool full = false;
+  for (int i = 0; i < 64 && !full; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(fd, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      fillers.push_back(fd);
+    } else {
+      full = errno == EAGAIN;
+      ::close(fd);
+    }
+  }
+  ASSERT_TRUE(full) << "could not fill the listener's backlog";
+
+  // The pool runs in a child, so a connect that hangs fails this test
+  // instead of stalling the suite.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
+                                 sim::machine_by_name("arm"));
+    dist::DistConfig cfg;
+    cfg.peers = {path};
+    cfg.spec = dist::make_program_spec(bottom, "arm");
+    cfg.connect_timeout_seconds = 0.2;
+    cfg.breaker_threshold = 1;
+    dist::DistEvaluator pool(bottom, bottom, cfg);
+    const bool valid = pool.evaluate(candidate(0)).valid;
+    const auto ds = pool.dist_stats();
+    ::_exit(valid && pool.degraded() && ds.peer_timeout == 1 ? 0 : 1);
+  }
+  int status = 0;
+  pid_t got = 0;
+  for (int i = 0; i < 200 && got == 0; ++i) {  // up to ~20 s
+    ::usleep(100 * 1000);
+    got = ::waitpid(child, &status, WNOHANG);
+  }
+  if (got == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &status, 0);
+  }
+  for (const int fd : fillers) ::close(fd);
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+  ASSERT_NE(got, 0) << "the pool hung connecting to a full backlog";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "expected one peer-timeout, a brownout and a local result";
 }
 
 TEST(DistEvaluator, BreakerStateIsVisibleInMetricsExport) {
@@ -245,7 +313,7 @@ TEST(DistEvaluator, BreakerStateIsVisibleInMetricsExport) {
   cfg.peers = {bogus};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 0.1;
-  cfg.reconnect_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   cfg.breaker_threshold = 2;  // one backoff round, then the ban
   dist::DistEvaluator pool(bottom, bottom, cfg);
   pool.evaluate(candidate(0));
@@ -307,14 +375,14 @@ void serve_skewed(int listen_fd, std::uint64_t fingerprint,
     sandbox::FrameReader reader(conn);
     std::string payload;
     if (reader.read(&payload, 10.0) == sandbox::IoStatus::Ok) {
-      dist::PeerMsg tag{};
+      sandbox::PeerMsg tag{};
       std::string_view body;
-      if (dist::untag_message(payload, &tag, &body) &&
-          tag == dist::PeerMsg::Hello) {
+      if (sandbox::untag_message(payload, &tag, &body) &&
+          tag == sandbox::PeerMsg::Hello) {
         const std::uint64_t stamped = obs::apply_clock_offset(mono_ns(), skew);
         sandbox::write_frame(
             conn,
-            dist::tag_message(dist::PeerMsg::HelloOk,
+            sandbox::tag_message(sandbox::PeerMsg::HelloOk,
                               dist::encode_hello_ok(1, fingerprint, stamped)));
         reader.read(&payload, 10.0);  // the job frame; never answered
       }
@@ -394,8 +462,7 @@ TEST(DistClock, OffsetRemeasuredOnReconnect) {
   cfg.job_wall_timeout_seconds = 1.0;
   cfg.max_attempts_per_job = 1;
   cfg.breaker_threshold = 10;  // two lost jobs must not ban the peer
-  cfg.reconnect_backoff_seconds = 0.001;
-  cfg.reconnect_backoff_max_seconds = 0.002;
+  cfg.backoff_seconds = 0.001;
   dist::DistEvaluator pool(bottom, bottom, cfg);
 
   pool.evaluate(candidate(0));

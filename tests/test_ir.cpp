@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 
 #include "ir/analysis.hpp"
 #include "ir/builder.hpp"
@@ -100,6 +101,11 @@ struct WrapCase {
   Opcode op;
   std::int64_t a, b, expected;
 };
+
+// Print a case by its name. gtest's default dumps the raw bytes, which
+// holds the `name` pointer and padding: the test's listed name would then
+// change with every run under address-space randomisation.
+void PrintTo(const WrapCase& c, std::ostream* os) { *os << c.name; }
 
 class WrapSemantics : public ::testing::TestWithParam<WrapCase> {};
 

@@ -326,8 +326,14 @@ TEST(PersistJournal, MagicOnlyFileIsCleanAndEmpty) {
 
 TEST(PersistQuarantine, RenamesToDotBad) {
   const std::string path = temp_path("quar_basic");
-  for (int i = 0; i < 20; ++i)
-    std::remove((path + ".bad" + (i ? "." + std::to_string(i) : "")).c_str());
+  for (int i = 0; i < 20; ++i) {
+    std::string stale = path + ".bad";
+    if (i) {
+      stale += '.';
+      stale += std::to_string(i);
+    }
+    std::remove(stale.c_str());
+  }
   write_file(path, "corrupt bytes");
   const std::string dest = persist::quarantine_file(path);
   EXPECT_EQ(dest, path + ".bad");
@@ -338,8 +344,14 @@ TEST(PersistQuarantine, RenamesToDotBad) {
 
 TEST(PersistQuarantine, CounterAvoidsClobberingPriorQuarantine) {
   const std::string path = temp_path("quar_counter");
-  for (int i = 0; i < 20; ++i)
-    std::remove((path + ".bad" + (i ? "." + std::to_string(i) : "")).c_str());
+  for (int i = 0; i < 20; ++i) {
+    std::string stale = path + ".bad";
+    if (i) {
+      stale += '.';
+      stale += std::to_string(i);
+    }
+    std::remove(stale.c_str());
+  }
   write_file(path, "first corruption");
   ASSERT_EQ(persist::quarantine_file(path), path + ".bad");
   write_file(path, "second corruption");

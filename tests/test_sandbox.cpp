@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
 #include "sim/robust_evaluator.hpp"
+#include "support/backoff.hpp"
 #include "support/rng.hpp"
 
 using namespace citroen;
@@ -286,12 +289,14 @@ TEST(SandboxIpc, MaxFrameEnvOverrideRaisesAndLowersTheCap) {
 }
 
 TEST(Sandbox, RespawnBackoffJitterIsSeededAndBounded) {
+  // Worker respawns draw on the shared jittered backoff; sibling engines
+  // seed differently so they never reopen lanes in lockstep.
   std::uint64_t s1 = 42, s2 = 42, s3 = 99;
   std::vector<double> a, b, c;
   for (int i = 0; i < 64; ++i) {
-    a.push_back(sandbox::jittered_backoff(0.05, 0.5, &s1));
-    b.push_back(sandbox::jittered_backoff(0.05, 0.5, &s2));
-    c.push_back(sandbox::jittered_backoff(0.05, 0.5, &s3));
+    a.push_back(support::jittered_backoff(0.05, 0.5, &s1));
+    b.push_back(support::jittered_backoff(0.05, 0.5, &s2));
+    c.push_back(support::jittered_backoff(0.05, 0.5, &s3));
   }
   EXPECT_EQ(a, b) << "same seed must give the same schedule";
   EXPECT_NE(a, c) << "different seeds must decorrelate";
@@ -300,10 +305,12 @@ TEST(Sandbox, RespawnBackoffJitterIsSeededAndBounded) {
     EXPECT_LE(v, 0.05 * 1.5 + 1e-12);
   }
   std::uint64_t s = 7;
-  EXPECT_EQ(sandbox::jittered_backoff(0.2, 0.0, &s), 0.2);
-  const double clamped = sandbox::jittered_backoff(1.0, 5.0, &s);
-  EXPECT_GE(clamped, 0.0);  // jitter clamps to 1: factor within [0, 2]
-  EXPECT_LE(clamped, 2.0);
+  EXPECT_EQ(support::jittered_backoff(0.2, 0.0, &s), 0.2);
+  for (int i = 0; i < 64; ++i) {
+    const double clamped = support::jittered_backoff(1.0, 5.0, &s);
+    EXPECT_GE(clamped, 0.0);  // jitter clamps to 1: factor within [0, 2]
+    EXPECT_LE(clamped, 2.0);
+  }
 }
 
 TEST(SandboxIpc, ReaderReportsEofOnTornWrite) {
@@ -474,6 +481,30 @@ TEST(Sandbox, MatchesPlainEvaluationBitForBit) {
   EXPECT_FALSE(sandboxed.degraded());
 }
 
+TEST(Sandbox, EarlierEvaluatorTearsDownWhileALaterOneLives) {
+  // Every worker must hold only its own lane. A worker forked for B that
+  // inherited A's lanes keeps A's workers from seeing EOF, and destroying
+  // A then waits out its 2 s grace per worker before SIGKILL.
+  sim::ProgramEvaluator base_a(bench_suite::make_program("security_sha"),
+                               sim::arm_a57_model());
+  sim::ProgramEvaluator base_b(bench_suite::make_program("security_sha"),
+                               sim::arm_a57_model());
+  sandbox::SandboxConfig cfg;
+  cfg.workers = 2;
+  auto a = std::make_unique<sandbox::SandboxedEvaluator>(base_a, cfg);
+  a->evaluate(make_assignment(0));
+  sandbox::SandboxedEvaluator b(base_b, cfg);
+  b.evaluate(make_assignment(1));
+  ASSERT_EQ(a->sandbox_stats().forks, 2u);
+  ASSERT_EQ(b.sandbox_stats().forks, 2u);
+
+  const auto start = std::chrono::steady_clock::now();
+  a.reset();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0);
+}
+
 TEST(Sandbox, CompileVettingMatchesPlain) {
   sim::ProgramEvaluator plain(bench_suite::make_program("security_sha"),
                               sim::arm_a57_model());
@@ -599,7 +630,7 @@ TEST(Sandbox, BreakerDegradesToInProcessWhichIsImmuneToRealFaults) {
   sandbox::SandboxConfig cfg;
   cfg.workers = 1;
   cfg.breaker_threshold = 2;
-  cfg.respawn_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   sandbox::SandboxedEvaluator sb(base, cfg);
   sim::FaultPlan plan;
   plan.seed = 6;

@@ -297,7 +297,9 @@ TEST(ServeJob, InterruptedJobResumesByteIdentically) {
     const auto spec = small_spec(method, 14, 9);
     serve::JobRecord rec;
     rec.id = 2;
-    rec.tenant = "t";
+    // A std::string temporary, not operator=(const char*): GCC 12's
+    // -Wrestrict misfires on the inlined replace of that overload here.
+    rec.tenant = std::string("t");
     rec.spec = spec;
     {
       serve::TuningJob job(rec, dir, /*resume=*/false, nullptr,

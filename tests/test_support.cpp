@@ -264,8 +264,8 @@ TEST(Statistics, PearsonPerfectCorrelation) {
 }
 
 // ---- shared jittered backoff (support/backoff.hpp) -------------------------
-// One implementation backs the sandbox supervisor's respawn delays, the
-// dist pool's peer reconnects, and citroen-cli's resubmit retries.
+// One implementation backs the remote engine's lane reopen delays
+// (sandbox respawns, peer reconnects) and citroen-cli's resubmit retries.
 
 #include "support/backoff.hpp"
 
